@@ -70,40 +70,29 @@
 // it instead of killing it. Without -out, signals kill the process as
 // usual. For an always-on service with the same contract (plus metrics
 // and progress streaming), see the iobfleetd daemon.
+//
+// The command itself only parses flags and prints the report: the flags
+// map onto a wiban/internal/sweep Spec, the same sweep definition
+// iobfleetd accepts as JSON, and that package validates it, builds the
+// fleet, creates or resumes the store and runs the sweep. Input the
+// daemon would reject — a non-finite -dur or -series, a negative
+// -workers or -block-size, an out-of-range generator knob — exits 2
+// with a usage message before any simulation starts.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
 
-	"wiban/internal/fleet"
 	"wiban/internal/spectrum"
-	"wiban/internal/telemetry"
-	"wiban/internal/units"
+	"wiban/internal/sweep"
 )
-
-// errInterrupted is the sentinel the signal handler injects into the
-// sink: the engine aborts at the next record boundary and main exits 0
-// with the store checkpointed, ready for -resume.
-var errInterrupted = errors.New("iobfleet: interrupted by signal")
-
-// cellsForDensity derives the cell count hitting a target wearers-per-
-// cell: ceil(wearers/density), never below 1. Fractional densities are
-// meaningful — -density 0.5 asks for twice as many cells as wearers.
-func cellsForDensity(wearers int, density float64) int {
-	cells := int(math.Ceil(float64(wearers) / density))
-	if cells < 1 {
-		return 1
-	}
-	return cells
-}
 
 func main() {
 	var (
@@ -142,133 +131,69 @@ func main() {
 		os.Exit(code)
 	}
 
-	gen := &fleet.Generator{
-		Base:          fleet.DefaultBase(),
+	spec := sweep.Spec{
+		Wearers:       *wearers,
+		Seed:          *seed,
+		DurSeconds:    *durSec,
+		Workers:       *workers,
 		PERSpread:     *perSpread,
 		BatterySpread: *battSpread,
 		HarvesterProb: *harvProb,
 		DropNodeProb:  *dropProb,
 		BLEFraction:   *bleFrac,
-		DrainBattery:  *drain,
+		Drain:         *drain,
+		Cells:         *cells,
+		Density:       *density,
+		Feedback:      *feedback,
+		SeriesSeconds: *seriesSec,
+		BlockSize:     *blockSize,
 	}
-	if err := gen.Validate(); err != nil {
-		fail(2, "%v", err)
-	}
-	f := &fleet.Fleet{
-		Wearers:  *wearers,
-		Seed:     *seed,
-		Scenario: gen.Scenario(),
-		// The coupled engine's phase 1 uses the generator's allocation-free
-		// load pass instead of regenerating every scenario (no-op uncoupled).
-		Loads:   gen.LoadScenario(),
-		Span:    units.Duration(*durSec),
-		Workers: *workers,
-	}
-	scenarioTag := gen.Tag()
-	if *density != 0 {
-		if !(*density > 0) { // also catches NaN
-			fail(2, "non-positive density %v", *density)
-		}
-		if *cells != 0 {
-			fail(2, "-cells and -density are two spellings of the same knob; pass one")
-		}
-		*cells = cellsForDensity(*wearers, *density)
-	}
+	// The feedback knobs have non-zero flag defaults, so they reach the
+	// spec only with -feedback, and there they must be explicit caps.
 	if *feedback {
-		if *cells <= 0 {
-			fail(2, "usage: -feedback needs a spectrum topology; pass -cells or -density")
-		}
 		if *maxIters <= 0 {
 			fail(2, "usage: -max-iters must be a positive iteration cap, got %d", *maxIters)
 		}
 		if *tolPPM <= 0 {
 			fail(2, "usage: -tol must be a positive PPM tolerance, got %d", *tolPPM)
 		}
+		spec.MaxIters, spec.TolPPM = *maxIters, *tolPPM
 	}
-	if *cells > 0 {
-		f.Coupling = &fleet.Coupling{Cells: *cells, Model: spectrum.Default()}
-		if *feedback {
-			f.Coupling.Feedback = true
-			f.Coupling.MaxIters = *maxIters
-			f.Coupling.TolPPM = *tolPPM
-		}
-		scenarioTag += ";" + f.Coupling.Tag()
-	} else if *cells < 0 {
-		fail(2, "negative cell count %d", *cells)
+	if err := spec.Normalize(); err != nil {
+		fail(2, "usage: %v", err)
 	}
-	if *seriesSec < 0 || math.IsNaN(*seriesSec) {
-		fail(2, "negative series cadence %v", *seriesSec)
-	}
-	f.Series = units.Duration(*seriesSec)
 	if *resume && *outPath == "" {
-		fail(2, "-resume requires -out")
+		fail(2, "usage: -resume requires -out")
+	}
+	// A forgotten -resume must not vaporize a checkpointed sweep: a fresh
+	// store truncates, so refuse to clobber an existing one.
+	if *outPath != "" && !*resume && !*force {
+		if st, err := os.Stat(*outPath); err == nil && st.Size() > 0 {
+			fail(2, "%s already exists; continue it with -resume, or overwrite it with -force", *outPath)
+		}
 	}
 
-	agg := fleet.NewStreamAggregator(f.Span)
-	sink := fleet.Sink(agg)
-	var store *telemetry.Writer
-	if *outPath != "" {
-		meta := telemetry.Meta{
-			FleetSeed:   f.Seed,
-			Wearers:     f.Wearers,
-			SpanSeconds: float64(f.Span),
-			Scenario:    scenarioTag,
-			BlockSize:   *blockSize,
-			Version:     telemetry.CreateVersion(*seriesSec > 0),
-			Cells:       *cells,
-			Feedback:    *feedback && *cells > 0,
-
-			SeriesCadenceSeconds: *seriesSec,
+	sw, err := spec.Open(*outPath, *resume)
+	if err != nil {
+		code := 1
+		if errors.Is(err, sweep.ErrMismatch) {
+			code = 2 // the flags, not the store, are at fault
 		}
-		var err error
-		if *resume {
-			if store, err = telemetry.Resume(*outPath); err != nil {
-				fail(1, "%v", err)
-			}
-			got := store.Meta()
-			meta.BlockSize = got.BlockSize // block size is the store's to keep
-			meta.Version = telemetry.AdoptVersion(got.Version, *cells, meta.Feedback, *seriesSec > 0)
-			if got != meta {
-				store.Abort()
-				fail(2, "resume flags describe a different sweep than %s:\n  store: %+v\n  flags: %+v", *outPath, got, meta)
-			}
-			// Rebuild the aggregate from the committed records, then
-			// simulate only the remainder.
-			r, err := telemetry.Open(*outPath)
-			if err != nil {
-				fail(1, "%v", err)
-			}
-			replayed, err := fleet.Replay(r, agg)
-			r.Close()
-			if err != nil {
-				fail(1, "%v", err)
-			}
-			if replayed != store.NextWearer() {
-				fail(1, "store %s replayed %d records but checkpoint says %d", *outPath, replayed, store.NextWearer())
-			}
-			f.Start = store.NextWearer()
-			fmt.Printf("resuming %s at wearer %d/%d (%d committed blocks)\n",
-				*outPath, f.Start, f.Wearers, store.Blocks())
-		} else {
-			// A forgotten -resume must not vaporize a checkpointed sweep:
-			// Create truncates, so refuse to clobber an existing store.
-			if st, serr := os.Stat(*outPath); serr == nil && st.Size() > 0 && !*force {
-				fail(2, "%s already exists; continue it with -resume, or overwrite it with -force", *outPath)
-			}
-			if store, err = telemetry.Create(*outPath, meta); err != nil {
-				fail(1, "%v", err)
-			}
-		}
-		// Store first, then aggregate: the committed prefix on disk never
-		// runs ahead of what the report has folded in.
-		sink = fleet.Tee(store, agg)
+		fail(code, "%v", err)
+	}
+	if *resume {
+		fmt.Printf("resuming %s at wearer %d/%d (%d committed blocks)\n",
+			*outPath, sw.Fleet.Start, spec.Wearers, sw.Store.Blocks())
+	}
 
-		// With a store attached, SIGINT/SIGTERM become a graceful stop
-		// instead of a kill: the sink returns errInterrupted at the next
-		// record boundary, the engine aborts, and everything committed so
-		// far stays a valid checkpointed prefix. Without -out there is
-		// nothing to save, so the default die-on-signal behavior stands.
-		stop := make(chan struct{})
+	// With a store attached, SIGINT/SIGTERM become a graceful stop instead
+	// of a kill: the sweep aborts at the next record boundary and
+	// everything committed so far stays a valid checkpointed prefix.
+	// Without -out there is nothing to save, so the default die-on-signal
+	// behavior stands.
+	var stop chan struct{}
+	if sw.Store != nil {
+		stop = make(chan struct{})
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		go func() {
@@ -276,15 +201,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "iobfleet: %v: checkpointing and stopping\n", s)
 			close(stop)
 		}()
-		inner := sink
-		sink = fleet.SinkFunc(func(rec telemetry.Record) error {
-			select {
-			case <-stop:
-				return errInterrupted
-			default:
-			}
-			return inner.Consume(rec)
-		})
 	}
 
 	// Profiling brackets exactly the sweep (flag parsing, store setup and
@@ -302,30 +218,25 @@ func main() {
 		defer pf.Close()
 	}
 	// The heap-profile file is opened before the sweep too: a typo'd path
-	// must fail in milliseconds, not after an hours-long run whose final
-	// uncommitted block it would then discard.
+	// must fail in milliseconds, not after an hours-long run.
 	var memFile *os.File
 	if *memProfile != "" {
-		var err error
 		if memFile, err = os.Create(*memProfile); err != nil {
 			fail(1, "%v", err)
 		}
 	}
-	perf, err := f.Stream(sink)
+	out, perf, err := sw.Run(nil, stop)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
-	if err != nil {
-		if store != nil {
-			store.Abort() // keep the checkpoint where the sweep died
-		}
-		if errors.Is(err, errInterrupted) {
-			// A graceful stop is a success: the sweep is parked, not dead.
-			fmt.Printf("interrupted: %s checkpointed at wearer %d/%d (%d blocks)\n",
-				*outPath, store.NextWearer(), f.Wearers, store.Blocks())
-			fmt.Printf("continue with: iobfleet -resume -out %s <same flags>\n", *outPath)
-			return
-		}
+	switch out {
+	case sweep.Interrupted:
+		// A graceful stop is a success: the sweep is parked, not dead.
+		fmt.Printf("interrupted: %s checkpointed at wearer %d/%d (%d blocks)\n",
+			*outPath, sw.Store.NextWearer(), spec.Wearers, sw.Store.Blocks())
+		fmt.Printf("continue with: iobfleet -resume -out %s <same flags>\n", *outPath)
+		return
+	case sweep.Failed:
 		fail(1, "%v", err)
 	}
 	if memFile != nil {
@@ -337,16 +248,11 @@ func main() {
 			fail(1, "heap profile: %v", perr)
 		}
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			fail(1, "%v", err)
-		}
-	}
-	rep := agg.Report()
+	rep := sw.Agg.Report()
 	fmt.Println(rep)
 	fmt.Printf("  engine:    %v\n", perf)
-	if store != nil {
-		fmt.Printf("  telemetry: %s (%d blocks)\n", *outPath, store.Blocks())
+	if sw.Store != nil {
+		fmt.Printf("  telemetry: %s (%d blocks)\n", *outPath, sw.Store.Blocks())
 	}
 	fmt.Printf("  fingerprint %s (seed %d)\n", rep.Fingerprint()[:16], *seed)
 }

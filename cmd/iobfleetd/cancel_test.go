@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wiban/internal/obs"
+	"wiban/internal/sweep"
 )
 
 // deleteSweep issues DELETE /api/sweeps/{id} against a test server and
@@ -113,7 +114,7 @@ func TestCancelRunning(t *testing.T) {
 	m.start(srv.URL)
 	defer m.beginDrain()
 
-	st, err := m.submit(sweepSpec{Wearers: 200000, Seed: 9, DurSeconds: 30, Workers: 2, BlockSize: 16})
+	st, err := m.submit(sweep.Spec{Wearers: 200000, Seed: 9, DurSeconds: 30, Workers: 2, BlockSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"wiban/internal/sweep"
 )
 
 // TestChaosKillResume is the acceptance gate for crash-proof drain: two
@@ -65,9 +67,9 @@ func TestChaosKillResume(t *testing.T) {
 	d2 := startDaemon(t, dir, "-sweeps", "2")
 	for i, id := range ids {
 		done := d2.awaitStatus(id, statusDone, 180*time.Second)
-		var spec sweepSpec
+		var spec sweep.Spec
 		mustUnmarshalSpec(t, specs[i], &spec)
-		f, _, err := spec.build(nil)
+		f, _, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,14 +99,14 @@ func TestChaosKillResume(t *testing.T) {
 // mustUnmarshalSpec parses and normalizes a JSON spec exactly the way
 // the daemon does, so the expected-fingerprint runs use the identical
 // fleet construction.
-func mustUnmarshalSpec(t *testing.T, raw string, spec *sweepSpec) {
+func mustUnmarshalSpec(t *testing.T, raw string, spec *sweep.Spec) {
 	t.Helper()
 	dec := json.NewDecoder(strings.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.normalize(); err != nil {
+	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -41,6 +41,15 @@
 //	curl -d '{"wearers":1000,"seed":42,"dur_seconds":600,"cells":50}' \
 //	    localhost:9370/api/sweeps
 //
+// The spec is wiban/internal/sweep's Spec, the one sweep definition the
+// iobfleet CLI shares: its validation (a refused spec is a 400), the
+// fleet and store metadata it builds, the create and resume paths of
+// its store and the stop-aware run all live there, so the CLI and the
+// daemon accept, reject and execute the same sweeps. The daemon adds
+// the state machine around a run: queueing, sidecars, metrics, progress,
+// the seed-store pull a replacement shard backend resumes from, and
+// the coordinator's shard protocol.
+//
 // Every sweep streams its records into a telemetry store
 // (<data>/<id>.wtl, see wiban/internal/telemetry) beside a JSON state
 // sidecar (<data>/<id>.json, written atomically), so the daemon's word

@@ -16,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"wiban/internal/sweep"
 )
 
 // TestMain lets tests re-exec this binary as the real iobfleetd daemon,
@@ -441,14 +443,14 @@ func TestDaemonDrainAndResume(t *testing.T) {
 	if done.Records != 6000 {
 		t.Errorf("resumed sweep records %d, want 6000", done.Records)
 	}
-	var js sweepSpec
+	var js sweep.Spec
 	if err := json.Unmarshal([]byte(spec), &js); err != nil {
 		t.Fatal(err)
 	}
-	if err := js.normalize(); err != nil {
+	if err := js.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := js.build(nil)
+	f, _, err := js.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,21 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"wiban/internal/obs"
+	"wiban/internal/spectrum"
+	"wiban/internal/sweep"
 )
 
-// minimalSpec is a spec that passes normalize but — with no runners
+// minimalSpec is a spec that passes Normalize but — with no runners
 // started — never executes, so queue mechanics can be tested in
 // isolation from the engine.
-func minimalSpec(seed int64) sweepSpec {
-	return sweepSpec{Wearers: 8, Seed: seed, DurSeconds: 1}
+func minimalSpec(seed int64) sweep.Spec {
+	return sweep.Spec{Wearers: 8, Seed: seed, DurSeconds: 1}
 }
 
 // scrape renders the registry's exposition text without a live server.
@@ -154,7 +157,7 @@ func TestDrainQueuedGauge(t *testing.T) {
 
 	m.mu.Lock()
 	queued, pending := m.queued, len(m.pending)
-	var front *sweep
+	var front *job
 	if pending > 0 {
 		front = m.pending[0]
 	}
@@ -284,7 +287,7 @@ func TestShardRanges(t *testing.T) {
 // TestShardSubCanonical pins the sub-spec derivation: the coordinator
 // knob is stripped, the range lands in first/end, and a final shard
 // ending at the population uses the canonical end 0 spelling so it
-// round-trips normalize unchanged.
+// round-trips Normalize unchanged.
 func TestShardSubCanonical(t *testing.T) {
 	spec := minimalSpec(7)
 	spec.Shards = 2
@@ -295,8 +298,8 @@ func TestShardSubCanonical(t *testing.T) {
 	if sub.FirstWearer != 4 || sub.EndWearer != 0 {
 		t.Errorf("final shard range (%d,%d), want (4,0 canonical)", sub.FirstWearer, sub.EndWearer)
 	}
-	if err := sub.normalize(); err != nil {
-		t.Errorf("canonical sub-spec fails normalize: %v", err)
+	if err := sub.Normalize(); err != nil {
+		t.Errorf("canonical sub-spec fails Normalize: %v", err)
 	}
 	mid := shardSub(spec, [2]int{0, 4})
 	if mid.FirstWearer != 0 || mid.EndWearer != 4 {
@@ -310,17 +313,165 @@ func TestShardSubCanonical(t *testing.T) {
 	withSeries := minimalSpec(7)
 	withSeries.Shards = 2
 	withSeries.SeriesSeconds = 0.5
-	if err := withSeries.normalize(); err != nil {
+	if err := withSeries.Normalize(); err != nil {
 		t.Errorf("sharded spec with series_seconds refused: %v", err)
 	}
 	seriesSub := shardSub(withSeries, [2]int{0, 4})
 	if seriesSub.SeriesSeconds != 0.5 {
 		t.Errorf("sub-spec dropped series cadence: %v", seriesSub.SeriesSeconds)
 	}
-	if err := seriesSub.normalize(); err != nil {
-		t.Errorf("series sub-spec fails normalize: %v", err)
+	if err := seriesSub.Normalize(); err != nil {
+		t.Errorf("series sub-spec fails Normalize: %v", err)
 	}
-	if _, meta, err := seriesSub.build(nil); err != nil || !meta.Series() {
+	if _, meta, err := seriesSub.Build(); err != nil || !meta.Series() {
 		t.Errorf("series sub-spec builds a series-off store (meta %+v, err %v)", meta, err)
+	}
+}
+
+// Sidecars exactly as the daemon wrote them before the spec moved into
+// internal/sweep: a parked full sweep and a finished shard sub-sweep
+// carrying every shard-side field.
+const (
+	legacyParkedSidecar = `{
+  "id": "s000003",
+  "spec": {
+    "wearers": 40,
+    "seed": 7,
+    "dur_seconds": 5,
+    "workers": 2,
+    "per_spread": 0.5,
+    "batt_spread": 0.3,
+    "harvest_prob": 0.3,
+    "drop_prob": 0.25,
+    "ble_frac": 0.5,
+    "cells": 4,
+    "feedback": true,
+    "max_iters": 16,
+    "tol_ppm": 100,
+    "series_seconds": 1,
+    "block_size": 8
+  },
+  "status": "interrupted",
+  "records": 16,
+  "blocks": 2,
+  "bytes": 4242
+}
+`
+	legacyShardSidecar = `{
+  "id": "s000004",
+  "spec": {
+    "wearers": 8,
+    "seed": 1,
+    "dur_seconds": 1,
+    "cells": 2,
+    "feedback": true,
+    "first_wearer": 4,
+    "label": "s000001/shard1",
+    "seed_store_url": "http://127.0.0.1:9370/api/sweeps/s000001/shards/1/store",
+    "presolved": {
+      "loads": [
+        {
+          "cell": 0,
+          "ppm": 5
+        },
+        {
+          "cell": 1,
+          "ppm": 9
+        }
+      ],
+      "eq": {
+        "table": [
+          {
+            "cell": 0,
+            "ppm": 7
+          },
+          {
+            "cell": 1,
+            "ppm": 11
+          }
+        ],
+        "iters": [
+          {
+            "cell": 0,
+            "iters": 3
+          }
+        ],
+        "own": [
+          1,
+          2,
+          3,
+          4
+        ]
+      }
+    }
+  },
+  "status": "done",
+  "records": 4,
+  "blocks": 1,
+  "bytes": 999,
+  "fingerprint": "abc123"
+}
+`
+)
+
+// TestLegacySidecarRecovers pins the sidecar format: sidecars written by
+// an earlier daemon recover into the same specs, the parked sweep runs
+// to the fingerprint of its spec run directly, and re-persisting the
+// terminal one reproduces its bytes.
+func TestLegacySidecarRecovers(t *testing.T) {
+	dir := t.TempDir()
+	for id, raw := range map[string]string{"s000003": legacyParkedSidecar, "s000004": legacyShardSidecar} {
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := newManager(dir, 1, obs.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, ok := m.get("s000004")
+	if !ok || m.byLabel["s000001/shard1"] != "s000004" {
+		t.Fatalf("shard sidecar not recovered under its label: %v %v", ok, m.byLabel)
+	}
+	wantShard := sweep.Spec{Wearers: 8, Seed: 1, DurSeconds: 1, Cells: 2, Feedback: true, FirstWearer: 4,
+		Label: "s000001/shard1", SeedStoreURL: "http://127.0.0.1:9370/api/sweeps/s000001/shards/1/store",
+		Presolved: &sweep.Presolved{
+			Loads: []spectrum.CellLoad{{Cell: 0, PPM: 5}, {Cell: 1, PPM: 9}},
+			Eq: &sweep.Equilibrium{
+				Table: []spectrum.CellLoad{{Cell: 0, PPM: 7}, {Cell: 1, PPM: 11}},
+				Iters: []spectrum.CellIters{{Cell: 0, Iters: 3}},
+				Own:   []int64{1, 2, 3, 4},
+			},
+		}}
+	if got := shard.snapshot(); !reflect.DeepEqual(got.Spec, wantShard) || got.Status != statusDone || got.Fingerprint != "abc123" {
+		t.Fatalf("shard sidecar recovered as %+v", got)
+	}
+	if err := m.persist(shard); err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := os.ReadFile(filepath.Join(dir, "s000004.json")); string(raw) != legacyShardSidecar {
+		t.Fatalf("re-persisted sidecar differs:\n%s", raw)
+	}
+
+	m.start("http://unused.invalid")
+	done := awaitSweep(t, m, "s000003", statusDone, 60*time.Second)
+	m.beginDrain()
+	spec := sweep.Spec{Wearers: 40, Seed: 7, DurSeconds: 5, Workers: 2, PERSpread: 0.5, BatterySpread: 0.3,
+		HarvesterProb: 0.3, DropNodeProb: 0.25, BLEFraction: 0.5, Cells: 4, Feedback: true, MaxIters: 16, TolPPM: 100,
+		SeriesSeconds: 1, BlockSize: 8}
+	if !reflect.DeepEqual(done.Spec, spec) {
+		t.Fatalf("parked sidecar recovered as %+v", done.Spec)
+	}
+	f, _, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Fingerprint != rep.Fingerprint() || done.Records != spec.Wearers {
+		t.Errorf("recovered sweep finished with %d records, fingerprint %q; want %d, %q",
+			done.Records, done.Fingerprint, spec.Wearers, rep.Fingerprint())
 	}
 }

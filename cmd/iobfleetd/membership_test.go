@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wiban/internal/sweep"
 )
 
 // TestMembershipTable drives the membership layer in-process with a
@@ -129,7 +131,7 @@ func TestMembershipExpiryKeepsInFlightDispatch(t *testing.T) {
 	id := co.submit(raw).ID
 	done := co.awaitStatus(id, statusDone, 120*time.Second)
 
-	var spec sweepSpec
+	var spec sweep.Spec
 	mustUnmarshalSpec(t, raw, &spec)
 	_, fp := groundTruthStore(t, spec)
 	if done.Fingerprint != fp {

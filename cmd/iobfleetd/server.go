@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"wiban/internal/obs"
+	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 )
 
@@ -17,7 +18,7 @@ import (
 //
 //	GET    /healthz                   readiness: 200 while accepting work, 503 once draining
 //	GET    /metrics                   Prometheus text exposition
-//	POST   /api/sweeps                submit a sweep (sweepSpec JSON) → 202 + state
+//	POST   /api/sweeps                submit a sweep (sweep.Spec JSON) → 202 + state
 //	GET    /api/sweeps                all sweeps, submission order
 //	GET    /api/sweeps/{id}           one sweep's state
 //	DELETE /api/sweeps/{id}           cancel: queued unqueues, running checkpoints-and-parks
@@ -45,7 +46,7 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 	})
 	mux.Handle("GET /metrics", reg.Handler())
 	mux.HandleFunc("POST /api/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		var spec sweepSpec
+		var spec sweep.Spec
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
@@ -146,14 +147,14 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 			httpError(w, http.StatusServiceUnavailable, "draining; ask another backend")
 			return
 		}
-		var spec sweepSpec
+		var spec sweep.Spec
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			httpError(w, http.StatusBadRequest, "bad sweep spec: "+err.Error())
 			return
 		}
-		if err := spec.normalize(); err != nil {
+		if err := spec.Normalize(); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -161,11 +162,12 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 			httpError(w, http.StatusBadRequest, "loads gather on an uncoupled spec")
 			return
 		}
-		f, _, err := spec.build(m.stats)
+		f, _, err := spec.Build()
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
+		f.Stats = m.stats
 		loads, members, err := f.GatherLoads()
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
@@ -254,7 +256,7 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 // Intermediate ticks are lossy under a slow reader (each line is a full
 // snapshot, so the newest supersedes anything shed); the final line is
 // guaranteed.
-func streamProgress(w http.ResponseWriter, r *http.Request, sw *sweep) {
+func streamProgress(w http.ResponseWriter, r *http.Request, sw *job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)

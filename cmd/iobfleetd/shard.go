@@ -51,6 +51,7 @@ import (
 
 	"wiban/internal/fleet"
 	"wiban/internal/spectrum"
+	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 	"wiban/internal/units"
 )
@@ -89,13 +90,13 @@ func shardRanges(wearers, shards int) [][2]int {
 // shardSub derives shard k's sub-spec: the same sweep identity with the
 // shard's wearer range and no coordinator knob. The loads round sends it
 // bare; the dispatch round adds Label, SeedStoreURL and Presolved.
-func shardSub(spec sweepSpec, rng [2]int) sweepSpec {
+func shardSub(spec sweep.Spec, rng [2]int) sweep.Spec {
 	sub := spec
 	sub.Shards = 0
 	sub.FirstWearer = rng[0]
 	sub.EndWearer = rng[1]
 	if sub.EndWearer == sub.Wearers {
-		sub.EndWearer = 0 // the canonical full-range spelling normalize() uses
+		sub.EndWearer = 0 // the canonical full-range spelling Spec.Normalize uses
 	}
 	return sub
 }
@@ -242,7 +243,7 @@ func (m *manager) getJSON(url string, out any) (string, error) {
 // block boundaries — through the same Writer. A failed merge removes
 // its partial output (Writer.Discard), so the shard partials on disk
 // stay the only recovery state.
-func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
+func (m *manager) runSharded(sw *job, spec sweep.Spec, storePath string) {
 	start := time.Now()
 	ranges := shardRanges(spec.Wearers, spec.Shards)
 	cancel := sw.cancelChan()
@@ -296,9 +297,9 @@ func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
 		sub.Label = sw.st.ID + "/shard" + strconv.Itoa(k)
 		sub.SeedStoreURL = fmt.Sprintf("%s/api/sweeps/%s/shards/%d/store", m.selfBase, sw.st.ID, k)
 		if spec.Cells > 0 {
-			pre := &presolvedSpec{Loads: loads}
+			pre := &sweep.Presolved{Loads: loads}
 			if res != nil {
-				pre.Eq = &eqSpec{
+				pre.Eq = &sweep.Equilibrium{
 					Table: res.Table().Export(),
 					Iters: res.ExportIters(),
 					Own:   res.ExportOwn(ranges[k][0], ranges[k][1]),
@@ -307,7 +308,7 @@ func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
 			sub.Presolved = pre
 		}
 		wg.Add(1)
-		go func(k int, sub sweepSpec) {
+		go func(k int, sub sweep.Spec) {
 			defer wg.Done()
 			errs[k] = m.superviseShard(sub, k, paths[k], cancel, progress)
 		}(k, sub)
@@ -383,7 +384,7 @@ func (m *manager) runSharded(sw *sweep, spec sweepSpec, storePath string) {
 // index and runs the one deterministic equilibrium solve. The merged
 // table and solution are bit-identical to an in-process phase 1 because
 // the table sums are commutative integers and Solve is a pure function.
-func (m *manager) gatherShards(spec sweepSpec, ranges [][2]int, cancel <-chan struct{}) ([]spectrum.CellLoad, *spectrum.Result, error) {
+func (m *manager) gatherShards(spec sweep.Spec, ranges [][2]int, cancel <-chan struct{}) ([]spectrum.CellLoad, *spectrum.Result, error) {
 	type gather struct {
 		resp loadsResponse
 		err  error
@@ -451,7 +452,7 @@ func (m *manager) gatherShards(spec sweepSpec, ranges [][2]int, cancel <-chan st
 // gatherShard asks one backend for a shard's partial loads, rotating
 // backends until one answers; a 400 is a deterministic spec rejection and
 // fails the sweep, everything else retries.
-func (m *manager) gatherShard(k int, sub sweepSpec, cancel <-chan struct{}) (loadsResponse, error) {
+func (m *manager) gatherShard(k int, sub sweep.Spec, cancel <-chan struct{}) (loadsResponse, error) {
 	var out loadsResponse
 	for attempt := 0; ; attempt++ {
 		select {
@@ -505,7 +506,7 @@ type shardHost struct {
 // end wins; every other copy is cancelled. The host list is sticky —
 // membership expiry only gates NEW dispatch, so a heartbeat hiccup
 // never drops a host that is still answering.
-func (m *manager) superviseShard(sub sweepSpec, k int, path string, cancel <-chan struct{}, progress func(k, records int)) error {
+func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-chan struct{}, progress func(k, records int)) error {
 	local := prepPartial(path)
 	end := sub.EndWearer
 	if end == 0 {

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"wiban/internal/fleet"
+	"wiban/internal/sweep"
 	"wiban/internal/telemetry"
 )
 
@@ -41,29 +41,21 @@ func storeBytes(t *testing.T, dir, id string) []byte {
 // its records into a single-writer telemetry store, and returns the
 // store's bytes plus the run's fingerprint — the exact artifacts a
 // sharded (or chaos-ridden) daemon run must reproduce bit for bit.
-func groundTruthStore(t *testing.T, spec sweepSpec) ([]byte, string) {
+func groundTruthStore(t *testing.T, spec sweep.Spec) ([]byte, string) {
 	t.Helper()
-	f, meta, err := spec.build(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "truth.wtl")
-	w, err := telemetry.Create(path, meta)
+	run, err := spec.Open(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := fleet.NewStreamAggregator(f.Span)
-	if _, err := f.Stream(fleet.Tee(w, agg)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	if out, _, err := run.Run(nil, nil); out != sweep.Done {
+		t.Fatalf("ground-truth run ended %v: %v", out, err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw, agg.Report().Fingerprint()
+	return raw, run.Agg.Report().Fingerprint()
 }
 
 // sameQueryStats compares two stores' QueryStore aggregates — the same
@@ -127,9 +119,9 @@ func TestShardedFingerprint(t *testing.T) {
 			done := co.awaitStatus(sharded.ID, statusDone, 120*time.Second)
 
 			// Ground truth 1: an uninterrupted in-process run.
-			var spec sweepSpec
+			var spec sweep.Spec
 			mustUnmarshalSpec(t, tc.sharded, &spec)
-			f, _, err := spec.build(nil)
+			f, _, err := spec.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +203,7 @@ func TestShardedSeriesFingerprint(t *testing.T) {
 			done := co.awaitStatus(sharded.ID, statusDone, 120*time.Second)
 
 			// Ground truth 1: an uninterrupted in-process single-writer store.
-			var spec sweepSpec
+			var spec sweep.Spec
 			mustUnmarshalSpec(t, tc.sharded, &spec)
 			truth, fp := groundTruthStore(t, spec)
 			if done.Fingerprint != fp {
@@ -258,9 +250,9 @@ func TestShardedLoopback(t *testing.T) {
 	raw := `{"wearers":90,"seed":13,"dur_seconds":10,"workers":2,"ble_frac":1,"cells":6,"block_size":16,"shards":2}`
 	done := d.awaitStatus(d.submit(raw).ID, statusDone, 120*time.Second)
 
-	var spec sweepSpec
+	var spec sweep.Spec
 	mustUnmarshalSpec(t, raw, &spec)
-	f, _, err := spec.build(nil)
+	f, _, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +326,7 @@ func TestShardedChaosKillResume(t *testing.T) {
 			startDaemon(t, b0dir, "-listen", b0addr)
 
 			done := co.awaitStatus(id, statusDone, 300*time.Second)
-			var spec sweepSpec
+			var spec sweep.Spec
 			mustUnmarshalSpec(t, tc.spec, &spec)
 			truth, fp := groundTruthStore(t, spec)
 			if done.Fingerprint != fp {

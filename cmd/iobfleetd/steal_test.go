@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wiban/internal/chaoskit"
+	"wiban/internal/sweep"
 )
 
 // awaitLiveBackends polls the coordinator's membership table until
@@ -89,7 +90,7 @@ func TestStealKilledBackendNeverRestarts(t *testing.T) {
 			b0.cmd.Wait()
 
 			done := co.awaitStatus(id, statusDone, 300*time.Second)
-			var spec sweepSpec
+			var spec sweep.Spec
 			mustUnmarshalSpec(t, tc.spec, &spec)
 			truth, fp := groundTruthStore(t, spec)
 			if done.Fingerprint != fp {
@@ -146,7 +147,7 @@ func TestStealStraggler(t *testing.T) {
 	startDaemon(t, t.TempDir(), "-register", co.base, "-heartbeat", "200ms")
 
 	done := co.awaitStatus(id, statusDone, 180*time.Second)
-	var spec sweepSpec
+	var spec sweep.Spec
 	mustUnmarshalSpec(t, raw, &spec)
 	_, fp := groundTruthStore(t, spec)
 	if done.Fingerprint != fp {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wiban/internal/chaoskit"
+	"wiban/internal/sweep"
 )
 
 // chaosEnvInt reads an integer knob for the sustained chaos harness,
@@ -190,7 +191,7 @@ func TestSustainedChaos(t *testing.T) {
 			done++
 			shape := shapeOf[id]
 			if _, ok := truthFP[shape]; !ok {
-				var spec sweepSpec
+				var spec sweep.Spec
 				mustUnmarshalSpec(t, shapes[shape], &spec)
 				truthBytes[shape], truthFP[shape] = groundTruthStore(t, spec)
 			}

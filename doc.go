@@ -63,6 +63,12 @@
 //     cancel end-to-end (DELETE /api/sweeps/{id}, sub-sweeps and
 //     partials included) and -retain bounds the terminal-store
 //     backlog without ever touching resumable state;
+//   - internal/sweep — the one definition of a sweep both front ends
+//     share: the JSON spec (iobfleet maps its flags onto it, iobfleetd
+//     accepts it over HTTP and persists it in sidecars), its
+//     validation, the fleet and store metadata it builds, the create
+//     and resume paths of its telemetry store, and the stop-aware run
+//     that ends done, interrupted, cancelled or failed;
 //   - internal/spectrum — cross-wearer co-channel interference: wearers
 //     hash into spatial cells, each cell sums its members' offered RF
 //     airtime in exact integer PPM, and a CSMA/ALOHA collision curve

@@ -51,13 +51,13 @@
 // window (a small multiple of the worker count) of per-wearer reports:
 // each report is flattened to a telemetry.Record, folded into the
 // StreamAggregator and/or appended to a telemetry store, then dropped —
-// a million-wearer sweep aggregates in O(workers) memory. The batch
-// path that materializes every report for exact percentiles is the
-// opt-in RunReports. Setting Start resumes an interrupted sweep: wearers
-// below Start are skipped (their records replay from the telemetry
-// store via Replay), and because per-wearer seeds derive from absolute
-// wearer indices the resumed sweep is bit-identical to an uninterrupted
-// one.
+// a million-wearer sweep aggregates in O(workers) memory (the tests hold
+// an exact batch oracle that materializes every report to check the
+// streaming percentiles against). Setting Start resumes an interrupted
+// sweep: wearers below Start are skipped (their records replay from the
+// telemetry store via Replay), and because per-wearer seeds derive from
+// absolute wearer indices the resumed sweep is bit-identical to an
+// uninterrupted one.
 //
 // # Zero-allocation steady state
 //
@@ -214,8 +214,7 @@ func (p Perf) String() string {
 // deterministic aggregate report plus wall-clock performance counters.
 // If any wearer's scenario or simulation fails, Run reports the failure
 // at the lowest wearer index (independent of worker scheduling) and no
-// report. For exact (non-histogram) percentiles over every per-wearer
-// report, use the opt-in RunReports.
+// report.
 func (f *Fleet) Run() (*Report, Perf, error) {
 	agg := NewStreamAggregator(f.Span)
 	perf, err := f.Stream(agg)
@@ -223,35 +222,6 @@ func (f *Fleet) Run() (*Report, Perf, error) {
 		return nil, Perf{}, err
 	}
 	return agg.Report(), perf, nil
-}
-
-// RunReports is the opt-in full-report path: it materializes every
-// per-wearer report (O(fleet) memory) and aggregates them with the exact
-// sorted-sample percentiles of Aggregate. The materialized reports carry
-// no Schedule — the schedule is per-kernel arena state (see
-// bannet.Sim.Schedule). Resume (Start > 0) is not supported here —
-// partial sweeps only make sense streamed.
-func (f *Fleet) RunReports() ([]*bannet.Report, *Report, Perf, error) {
-	if f.Start != 0 || f.End != 0 {
-		return nil, nil, Perf{}, fmt.Errorf("fleet: RunReports does not support a sub-range [%d,%d); stream it instead", f.Start, f.End)
-	}
-	if f.Wearers <= 0 {
-		return nil, nil, Perf{}, fmt.Errorf("fleet: non-positive population %d", f.Wearers)
-	}
-	reports := make([]*bannet.Report, 0, f.Wearers)
-	perf, err := f.stream(func(w int, out *wearerOut) error {
-		// The emit callback borrows out until it returns (the buffer goes
-		// back to the window pool), so materializing means copying.
-		rep := out.rep
-		rep.Nodes = append([]bannet.NodeStats(nil), out.rep.Nodes...)
-		rep.Schedule = nil
-		reports = append(reports, &rep)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, Perf{}, err
-	}
-	return reports, Aggregate(f.Span, reports), perf, nil
 }
 
 // Stream executes wearers [Start, End) and feeds each one's

@@ -10,10 +10,9 @@ import (
 // fleet size.
 const DefaultMaxBins = 256
 
-// StreamDist is the bounded-memory counterpart of NewDist: it summarizes
-// an unbounded sample stream with exact count, min, max and mean (the
-// mean is summed in insertion order, matching the batch path's
-// wearer-index-order summation) and percentile estimates from a streaming
+// StreamDist summarizes an unbounded sample stream in bounded memory
+// with exact count, min, max and mean (the mean is summed in insertion
+// order, which the engine keeps equal to wearer-index order) and percentile estimates from a streaming
 // histogram in the style of Ben-Haim & Tom-Tov (JMLR 2010).
 //
 // The histogram keeps at most maxBins weighted centroids. A new value
@@ -22,7 +21,7 @@ const DefaultMaxBins = 256
 // merge (ties break on the lower index). Every step is a pure function of
 // the insertion sequence, so fleet runs stay byte-reproducible across
 // worker counts. While fewer than maxBins distinct values have been seen
-// no merge ever happens and Quantile reproduces the batch sorted-sample
+// no merge ever happens and Quantile reproduces Dist's sorted-sample
 // convention (index ⌊n·p/100⌋) exactly; beyond that, a percentile is the
 // centroid covering the target rank, with error bounded by the local
 // centroid spacing.
@@ -104,7 +103,7 @@ func (d *StreamDist) N() int64 { return d.n }
 // NaNs reports how many NaN samples were offered and skipped.
 func (d *StreamDist) NaNs() int64 { return d.nans }
 
-// Quantile returns the estimated pct-th percentile under the batch
+// Quantile returns the estimated pct-th percentile under Dist's
 // convention: the value at rank ⌊n·pct/100⌋ of the sorted sample,
 // answered with the centroid whose weight span covers that rank.
 func (d *StreamDist) Quantile(pct int) float64 {

@@ -70,7 +70,7 @@ func (g *Generator) Validate() error {
 		{"DropNodeProb", g.DropNodeProb},
 		{"BLEFraction", g.BLEFraction},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // also catches NaN
 			return fmt.Errorf("fleet: generator %s %v outside [0,1]", p.name, p.v)
 		}
 	}

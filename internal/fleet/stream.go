@@ -93,9 +93,9 @@ func recordInto(rec *telemetry.Record, wearer int, r *bannet.Report) {
 // StreamAggregator folds a stream of wearer records into a fleet Report
 // in constant memory: totals and fractions are exact, the five population
 // distributions keep exact count/min/max/mean and histogram-estimated
-// percentiles (see StreamDist). It is the engine's default sink; the
-// exact-percentile batch path remains available via RunReports and
-// Aggregate.
+// percentiles (see StreamDist). It is the engine's default sink and the
+// only aggregation path; the tests check it against an exact batch
+// oracle.
 type StreamAggregator struct {
 	span    units.Duration
 	wearers int
@@ -135,8 +135,7 @@ func NewStreamAggregator(span units.Duration) *StreamAggregator {
 	}
 }
 
-// Consume folds one wearer record; it implements Sink. The derived
-// figures mirror Aggregate exactly: delivery rate is 1 for idle nodes,
+// Consume folds one wearer record; it implements Sink. Delivery rate is 1 for idle nodes,
 // latency distributions only include nodes that delivered traffic.
 func (a *StreamAggregator) Consume(rec telemetry.Record) error {
 	a.wearers++

@@ -1,4 +1,11 @@
-package main
+// Package sweep is the one definition of a fleet sweep: the spec that
+// describes it, the validation that makes the spec canonical, the
+// composition of the runnable fleet and its telemetry metadata, the
+// create and resume paths of its store, and the stop-aware run that
+// streams it to completion. Both front ends call it: cmd/iobfleet maps
+// its flags onto a Spec, and cmd/iobfleetd decodes a Spec from its HTTP
+// API and persists it in each sweep's sidecar.
+package sweep
 
 import (
 	"fmt"
@@ -10,12 +17,12 @@ import (
 	"wiban/internal/units"
 )
 
-// sweepSpec is one sweep submission: the iobfleet flag surface as JSON.
-// Every field is literal — an omitted numeric field is zero, not a
-// server-side default — so the sidecar-persisted spec alone re-derives
-// the sweep bit-for-bit after a restart. Field names mirror the CLI
-// flags (dur → dur_seconds, series → series_seconds, tol → tol_ppm).
-type sweepSpec struct {
+// Spec is one sweep: the iobfleet flag surface as JSON. Every field is
+// literal — an omitted numeric field is zero, not a server-side default —
+// so a persisted spec alone re-derives the sweep bit-for-bit after a
+// restart. Field names mirror the CLI flags (dur → dur_seconds, series →
+// series_seconds, tol → tol_ppm).
+type Spec struct {
 	Wearers    int     `json:"wearers"`
 	Seed       int64   `json:"seed"`
 	DurSeconds float64 `json:"dur_seconds"`
@@ -40,9 +47,9 @@ type sweepSpec struct {
 
 	// Shards, when positive, makes the receiving daemon a coordinator: it
 	// splits [0, Wearers) into this many contiguous ranges, dispatches
-	// each as a shard sub-sweep to a backend (-backends, or itself), and
-	// merges the returned stores into one bit-identical to a 1-process
-	// run. A coordinator spec carries none of the shard-side fields below.
+	// each as a shard sub-sweep to a backend, and merges the returned
+	// stores into one bit-identical to a 1-process run. A coordinator
+	// spec carries none of the shard-side fields below.
 	Shards int `json:"shards,omitempty"`
 
 	// The remaining fields are the shard side of the protocol — set by a
@@ -54,40 +61,40 @@ type sweepSpec struct {
 	// replacement backend resumes from the blocks already replicated
 	// instead of re-simulating the shard from scratch; Presolved ships
 	// the coordinator's merged phase-1 results (see fleet.Presolved).
-	FirstWearer  int            `json:"first_wearer,omitempty"`
-	EndWearer    int            `json:"end_wearer,omitempty"`
-	Label        string         `json:"label,omitempty"`
-	SeedStoreURL string         `json:"seed_store_url,omitempty"`
-	Presolved    *presolvedSpec `json:"presolved,omitempty"`
+	FirstWearer  int        `json:"first_wearer,omitempty"`
+	EndWearer    int        `json:"end_wearer,omitempty"`
+	Label        string     `json:"label,omitempty"`
+	SeedStoreURL string     `json:"seed_store_url,omitempty"`
+	Presolved    *Presolved `json:"presolved,omitempty"`
 }
 
-// presolvedSpec is the wire form of fleet.Presolved: the coordinator's
+// Presolved is the wire form of fleet.Presolved: the coordinator's
 // merged full-population load table plus, in feedback mode, the solved
 // equilibrium windowed to the shard's wearer range.
-type presolvedSpec struct {
+type Presolved struct {
 	Loads []spectrum.CellLoad `json:"loads"`
-	Eq    *eqSpec             `json:"eq,omitempty"`
+	Eq    *Equilibrium        `json:"eq,omitempty"`
 }
 
-// eqSpec is the exported spectrum.Result: the equilibrium per-cell table
-// and iteration counts of the full solve plus the per-wearer own loads of
-// the shard's range [first_wearer, end_wearer).
-type eqSpec struct {
+// Equilibrium is the exported spectrum.Result: the equilibrium per-cell
+// table and iteration counts of the full solve plus the per-wearer own
+// loads of the shard's range [first_wearer, end_wearer).
+type Equilibrium struct {
 	Table []spectrum.CellLoad  `json:"table"`
 	Iters []spectrum.CellIters `json:"iters,omitempty"`
 	Own   []int64              `json:"own"`
 }
 
-// normalize validates the spec and resolves density into cells (the two
-// are one knob, exactly as in the CLI), so the persisted spec is
-// canonical: a restart re-derives the identical sweep without repeating
-// the derivation.
-func (s *sweepSpec) normalize() error {
+// Normalize validates the spec and resolves density into cells (the two
+// are one knob), so the spec is canonical: normalizing it again changes
+// nothing, and a restart re-derives the identical sweep without
+// repeating the derivation.
+func (s *Spec) Normalize() error {
 	if s.Wearers <= 0 {
 		return fmt.Errorf("non-positive population %d", s.Wearers)
 	}
-	if !(s.DurSeconds > 0) { // also catches NaN
-		return fmt.Errorf("non-positive span %v", s.DurSeconds)
+	if !(s.DurSeconds > 0) || math.IsInf(s.DurSeconds, 1) { // also catches NaN
+		return fmt.Errorf("non-positive or non-finite span %v", s.DurSeconds)
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("negative worker count %d", s.Workers)
@@ -118,8 +125,8 @@ func (s *sweepSpec) normalize() error {
 	} else if s.MaxIters != 0 || s.TolPPM != 0 {
 		return fmt.Errorf("max_iters/tol_ppm are feedback knobs; set feedback too")
 	}
-	if s.SeriesSeconds < 0 || math.IsNaN(s.SeriesSeconds) {
-		return fmt.Errorf("negative series cadence %v", s.SeriesSeconds)
+	if !(s.SeriesSeconds >= 0) || math.IsInf(s.SeriesSeconds, 1) { // also catches NaN
+		return fmt.Errorf("negative or non-finite series cadence %v", s.SeriesSeconds)
 	}
 	if s.BlockSize < 0 {
 		return fmt.Errorf("negative block size %d", s.BlockSize)
@@ -136,7 +143,7 @@ func (s *sweepSpec) normalize() error {
 	if s.EndWearer == s.Wearers {
 		s.EndWearer = 0 // canonical full-range spelling, like telemetry.Meta's
 	}
-	first, end := s.wearerRange()
+	first, end := s.Range()
 	if first >= end || end > s.Wearers {
 		return fmt.Errorf("wearer range [%d,%d) outside population %d", first, end, s.Wearers)
 	}
@@ -151,16 +158,12 @@ func (s *sweepSpec) normalize() error {
 			return err
 		}
 	}
-	gen := s.generator()
-	if err := gen.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return s.generator().Validate()
 }
 
-// wearerRange is the spec's wearer interval [first, end); end 0 reads as
-// the whole population, mirroring telemetry.Meta.Range.
-func (s *sweepSpec) wearerRange() (int, int) {
+// Range is the spec's wearer interval [first, end); end 0 reads as the
+// whole population, mirroring telemetry.Meta.Range.
+func (s *Spec) Range() (int, int) {
 	end := s.EndWearer
 	if end == 0 {
 		end = s.Wearers
@@ -169,9 +172,9 @@ func (s *sweepSpec) wearerRange() (int, int) {
 }
 
 // presolved reconstructs the fleet.Presolved the wire form describes (nil
-// when the spec carries none). Called from normalize so a malformed table
-// or equilibrium is a 400 at submit time, not a failed sweep later.
-func (s *sweepSpec) presolved() (*fleet.Presolved, error) {
+// when the spec carries none). Called from Normalize so a malformed table
+// or equilibrium is refused at submit time, not a failed sweep later.
+func (s *Spec) presolved() (*fleet.Presolved, error) {
 	if s.Presolved == nil {
 		return nil, nil
 	}
@@ -181,7 +184,7 @@ func (s *sweepSpec) presolved() (*fleet.Presolved, error) {
 	}
 	p := &fleet.Presolved{Loads: loads}
 	if e := s.Presolved.Eq; e != nil {
-		first, end := s.wearerRange()
+		first, end := s.Range()
 		if len(e.Own) != end-first {
 			return nil, fmt.Errorf("presolved equilibrium covers %d wearers, shard range [%d,%d) holds %d",
 				len(e.Own), first, end, end-first)
@@ -196,8 +199,8 @@ func (s *sweepSpec) presolved() (*fleet.Presolved, error) {
 }
 
 // cellsForDensity derives the cell count hitting a target wearers-per-
-// cell: ceil(wearers/density), never below 1 — the same arithmetic as
-// the iobfleet -density flag.
+// cell: ceil(wearers/density), never below 1. Fractional densities are
+// meaningful — density 0.5 asks for twice as many cells as wearers.
 func cellsForDensity(wearers int, density float64) int {
 	cells := int(math.Ceil(float64(wearers) / density))
 	if cells < 1 {
@@ -207,7 +210,7 @@ func cellsForDensity(wearers int, density float64) int {
 }
 
 // generator builds the population generator the spec describes.
-func (s *sweepSpec) generator() *fleet.Generator {
+func (s *Spec) generator() *fleet.Generator {
 	return &fleet.Generator{
 		Base:          fleet.DefaultBase(),
 		PERSpread:     s.PERSpread,
@@ -219,25 +222,25 @@ func (s *sweepSpec) generator() *fleet.Generator {
 	}
 }
 
-// build assembles the runnable fleet and the telemetry metadata of a
-// normalized spec — exactly the composition cmd/iobfleet performs from
-// its flags, with the engine's Stats hook attached for live metrics. A
-// shard spec yields a range-bounded fleet (Start/End) with the shipped
-// phase-1 results attached, and a meta whose FirstWearer/EndWearer mark
-// the store as a shard store.
-func (s *sweepSpec) build(stats *fleet.Stats) (*fleet.Fleet, telemetry.Meta, error) {
+// Build assembles the runnable fleet and the telemetry metadata of a
+// normalized spec. A shard spec yields a range-bounded fleet
+// (Start/End) with the shipped phase-1 results attached, and a meta
+// whose FirstWearer/EndWearer mark the store as a shard store. Attach
+// live instrumentation through the returned fleet's Stats field.
+func (s *Spec) Build() (*fleet.Fleet, telemetry.Meta, error) {
 	gen := s.generator()
-	first, end := s.wearerRange()
+	first, end := s.Range()
 	f := &fleet.Fleet{
 		Wearers:  s.Wearers,
 		Seed:     s.Seed,
 		Scenario: gen.Scenario(),
-		Loads:    gen.LoadScenario(),
-		Span:     units.Duration(s.DurSeconds),
-		Workers:  s.Workers,
-		Start:    first,
-		Series:   units.Duration(s.SeriesSeconds),
-		Stats:    stats,
+		// The coupled engine's phase 1 uses the generator's allocation-free
+		// load pass instead of regenerating every scenario (no-op uncoupled).
+		Loads:   gen.LoadScenario(),
+		Span:    units.Duration(s.DurSeconds),
+		Workers: s.Workers,
+		Start:   first,
+		Series:  units.Duration(s.SeriesSeconds),
 	}
 	if end != s.Wearers {
 		f.End = end
