@@ -121,6 +121,20 @@ func (d *daemon) wait() int {
 	return ee.ExitCode()
 }
 
+// stopAll sends SIGTERM to every daemon at once and requires each to
+// drain and exit 0.
+func stopAll(t *testing.T, ds ...*daemon) {
+	t.Helper()
+	for _, d := range ds {
+		d.cmd.Process.Signal(syscall.SIGTERM)
+	}
+	for _, d := range ds {
+		if code := d.wait(); code != 0 {
+			t.Errorf("daemon %s exited %d on SIGTERM, want 0", d.base, code)
+		}
+	}
+}
+
 // getJSON GETs base+path and decodes the JSON response into v,
 // returning the status code.
 func (d *daemon) getJSON(path string, v any) int {

@@ -558,7 +558,7 @@ func (m *manager) run(sw *job) {
 	m.mu.Unlock()
 	m.metrics.started.Inc()
 
-	storePath := filepath.Join(m.dir, sw.st.ID+".wtl")
+	storePath := m.storePath(sw.st.ID)
 	spec := sw.snapshot().Spec
 	if spec.Shards > 0 {
 		m.runSharded(sw, spec, storePath)
@@ -706,24 +706,16 @@ func (m *manager) cancel(id string) (sweepState, error) {
 		return st, errTerminal
 	case statusCancelled:
 		// idempotent: report the settled state again
-	case statusQueued:
-		for i, p := range m.pending {
-			if p == sw {
-				m.pending = append(m.pending[:i], m.pending[i+1:]...)
-				break
+	case statusQueued, statusInterrupted:
+		if sw.st.Status == statusQueued {
+			for i, p := range m.pending {
+				if p == sw {
+					m.pending = append(m.pending[:i], m.pending[i+1:]...)
+					break
+				}
 			}
+			m.queued--
 		}
-		m.queued--
-		sw.st.Status = statusCancelled
-		sw.st.CancelRequested = true
-		sw.markCancelled()
-		if err := m.persist(sw); err != nil {
-			fmt.Fprintf(os.Stderr, "iobfleetd: persisting %s: %v\n", sw.st.ID, err)
-		}
-		sw.publish(true)
-		m.metrics.cancelled.Inc()
-		prune = true
-	case statusInterrupted:
 		sw.st.Status = statusCancelled
 		sw.st.CancelRequested = true
 		sw.markCancelled()
@@ -795,7 +787,7 @@ func (m *manager) pruneRetained() {
 	m.mu.Unlock()
 	for _, sw := range victims {
 		id := sw.st.ID
-		store := filepath.Join(m.dir, id+".wtl")
+		store := m.storePath(id)
 		os.Remove(filepath.Join(m.dir, id+".json"))
 		os.Remove(store)
 		os.Remove(telemetry.CheckpointPath(store))

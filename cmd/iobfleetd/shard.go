@@ -372,10 +372,7 @@ func (m *manager) runSharded(sw *job, spec sweep.Spec, storePath string) {
 	sw.st.Bytes = size
 	sw.mu.Unlock()
 	m.finish(sw, statusDone, "")
-	for _, p := range paths {
-		os.Remove(p)
-		os.Remove(telemetry.CheckpointPath(p))
-	}
+	removePartials()
 }
 
 // gatherShards is the coupled protocol's loads round: every shard reports

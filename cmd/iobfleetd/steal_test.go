@@ -78,7 +78,7 @@ func TestStealKilledBackendNeverRestarts(t *testing.T) {
 			coDir := t.TempDir()
 			co := startDaemon(t, coDir, "-expire", "1s", "-steal-after", "2s")
 			b0 := startDaemon(t, t.TempDir(), "-register", co.base, "-heartbeat", "200ms")
-			startDaemon(t, t.TempDir(), "-register", co.base, "-heartbeat", "200ms")
+			b1 := startDaemon(t, t.TempDir(), "-register", co.base, "-heartbeat", "200ms")
 			awaitLiveBackends(t, co, 2, 30*time.Second)
 			if got := metricValue(t, co.metrics(), "iobfleetd_backends_configured"); got != 0 {
 				t.Fatalf("backends_configured %v, want 0 — this fleet must be dynamic-only", got)
@@ -111,10 +111,22 @@ func TestStealKilledBackendNeverRestarts(t *testing.T) {
 				t.Errorf("backends_live %v with one backend dead, want 1", got)
 			}
 			// Expiry is lazy-on-read: the scrape above performed the flip, so
-			// a second scrape observes the counted transition.
-			if got := metricValue(t, co.metrics(), "iobfleetd_backends_expired_total"); got < 1 {
+			// a second scrape observes the counted transition. The expired
+			// entry stays in the table, and the finished sweep holds no slot.
+			text = co.metrics()
+			if got := metricValue(t, text, "iobfleetd_backends_expired_total"); got < 1 {
 				t.Errorf("backends_expired_total %v, want >= 1 — the dead backend's heartbeats stopped", got)
 			}
+			for series, want := range map[string]float64{
+				"iobfleetd_backends_registered": 2,
+				"iobfleetd_sweeps_queued":       0,
+				"iobfleetd_sweeps_running":      0,
+			} {
+				if got := metricValue(t, text, series); got != want {
+					t.Errorf("%s = %v, want %v", series, got, want)
+				}
+			}
+			stopAll(t, co, b1)
 		})
 	}
 }

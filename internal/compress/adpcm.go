@@ -92,7 +92,7 @@ func (st *adpcmState) decodeSample(code byte) int16 {
 // uvarint(count), int16 initial predictor, byte index, packed nibbles
 // (high nibble first).
 func ADPCMEncode(samples []int16) []byte {
-	out := appendUvarint(nil, uint64(len(samples)))
+	out := AppendUvarint(nil, uint64(len(samples)))
 	var st adpcmState
 	if len(samples) > 0 {
 		st.predictor = int(samples[0])
@@ -117,7 +117,7 @@ func ADPCMEncode(samples []int16) []byte {
 // ADPCMDecode reverses ADPCMEncode. The reconstruction is lossy; the
 // decoder output tracks the encoder's internal prediction exactly.
 func ADPCMDecode(src []byte) ([]int16, error) {
-	n, k := uvarint(src)
+	n, k := DecodeUvarint(src)
 	if k == 0 || n > 1<<30 {
 		return nil, ErrCorrupt
 	}

@@ -117,8 +117,8 @@ func (r *bitReader) readUnary() (uint32, error) {
 
 // --- Varint (LEB128) and zigzag ------------------------------------------
 
-// appendUvarint appends v in LEB128.
-func appendUvarint(dst []byte, v uint64) []byte {
+// AppendUvarint appends v in LEB128 (7 bits per byte, low group first).
+func AppendUvarint(dst []byte, v uint64) []byte {
 	for v >= 0x80 {
 		dst = append(dst, byte(v)|0x80)
 		v >>= 7
@@ -126,9 +126,9 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
-// uvarint decodes a LEB128 value, returning the value and bytes consumed
-// (0 on corruption).
-func uvarint(src []byte) (uint64, int) {
+// DecodeUvarint decodes one LEB128 value, returning the value and the
+// bytes consumed; consumed is 0 on a truncated or overlong encoding.
+func DecodeUvarint(src []byte) (uint64, int) {
 	var v uint64
 	var shift uint
 	for i, b := range src {

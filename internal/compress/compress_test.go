@@ -32,6 +32,90 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBitWriterReaderBoundaries round-trips bit runs chosen to land on
+// every alignment: single bits, exact byte multiples, 7/9-bit straddles
+// and full 64-bit words.
+func TestBitWriterReaderBoundaries(t *testing.T) {
+	widths := []uint{1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64}
+	var w bitWriter
+	var want []uint64
+	for i, n := range widths {
+		// A value pattern exercising both all-ones and sparse bits at
+		// each width.
+		v := (uint64(0xdeadbeefcafef00d) >> uint(i)) & (math.MaxUint64 >> (64 - n))
+		w.writeBits(v, n)
+		want = append(want, v)
+	}
+	r := bitReader{buf: w.bytes()}
+	for i, n := range widths {
+		got, err := r.readBits(n)
+		if err != nil {
+			t.Fatalf("readBits(%d) at %d: %v", n, i, err)
+		}
+		if got != want[i] {
+			t.Fatalf("width %d: got %#x want %#x", n, got, want[i])
+		}
+	}
+	// Reading past the zero-padded tail must fail rather than invent bits.
+	if _, err := r.readBits(8); err == nil {
+		t.Error("readBits past end-of-stream succeeded")
+	}
+}
+
+// TestBitRoundTripAtBlockEdges writes exactly 8·k bits so the buffer ends
+// on a byte boundary with no padding, then one extra bit to force a
+// padded final byte — both must round-trip.
+func TestBitRoundTripAtBlockEdges(t *testing.T) {
+	for _, extra := range []uint{0, 1} {
+		var w bitWriter
+		for i := 0; i < 16; i++ {
+			w.writeBits(uint64(i), 8)
+		}
+		if extra > 0 {
+			w.writeBits(1, extra)
+		}
+		buf := w.bytes()
+		wantLen := 16 + int(extra+7)/8
+		if len(buf) != wantLen {
+			t.Fatalf("extra=%d: len=%d want %d", extra, len(buf), wantLen)
+		}
+		r := bitReader{buf: buf}
+		for i := 0; i < 16; i++ {
+			v, err := r.readBits(8)
+			if err != nil || v != uint64(i) {
+				t.Fatalf("extra=%d byte %d: %d, %v", extra, i, v, err)
+			}
+		}
+		if extra > 0 {
+			if v, err := r.readBits(1); err != nil || v != 1 {
+				t.Fatalf("extra bit: %d, %v", v, err)
+			}
+		}
+	}
+}
+
+func TestUnaryRoundTrip(t *testing.T) {
+	w := &bitWriter{}
+	qs := []uint32{0, 1, 7, 31, 32, 33, 100, 1000}
+	for _, q := range qs {
+		w.writeUnary(q)
+	}
+	r := &bitReader{buf: w.bytes()}
+	for _, q := range qs {
+		got, err := r.readUnary()
+		if err != nil || got != q {
+			t.Fatalf("readUnary = %d, %v; want %d", got, err, q)
+		}
+	}
+}
+
+func TestReadPastEnd(t *testing.T) {
+	r := &bitReader{buf: []byte{0xFF}}
+	if _, err := r.readBits(9); err == nil {
+		t.Error("reading past end should fail")
+	}
+}
+
 func TestBitIOProperty(t *testing.T) {
 	f := func(vals []uint32, widths []uint8) bool {
 		if len(vals) == 0 {
@@ -68,32 +152,10 @@ func TestBitIOProperty(t *testing.T) {
 	}
 }
 
-func TestUnaryRoundTrip(t *testing.T) {
-	w := &bitWriter{}
-	qs := []uint32{0, 1, 7, 31, 32, 33, 100, 1000}
-	for _, q := range qs {
-		w.writeUnary(q)
-	}
-	r := &bitReader{buf: w.bytes()}
-	for _, q := range qs {
-		got, err := r.readUnary()
-		if err != nil || got != q {
-			t.Fatalf("readUnary = %d, %v; want %d", got, err, q)
-		}
-	}
-}
-
-func TestReadPastEnd(t *testing.T) {
-	r := &bitReader{buf: []byte{0xFF}}
-	if _, err := r.readBits(9); err == nil {
-		t.Error("reading past end should fail")
-	}
-}
-
 func TestVarintZigzagProperty(t *testing.T) {
 	f := func(v int64) bool {
-		buf := appendUvarint(nil, zigzag(v))
-		u, k := uvarint(buf)
+		buf := AppendUvarint(nil, zigzag(v))
+		u, k := DecodeUvarint(buf)
 		return k == len(buf) && unzigzag(u) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -102,10 +164,10 @@ func TestVarintZigzagProperty(t *testing.T) {
 }
 
 func TestUvarintCorrupt(t *testing.T) {
-	if _, k := uvarint(nil); k != 0 {
+	if _, k := DecodeUvarint(nil); k != 0 {
 		t.Error("empty uvarint should fail")
 	}
-	if _, k := uvarint(bytes.Repeat([]byte{0x80}, 11)); k != 0 {
+	if _, k := DecodeUvarint(bytes.Repeat([]byte{0x80}, 11)); k != 0 {
 		t.Error("overlong uvarint should fail")
 	}
 }

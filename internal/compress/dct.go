@@ -208,7 +208,7 @@ func (c *FrameCodec) Encode(frame []byte) ([]byte, error) {
 				q[i] = int(math.Round(block[zigzagOrder[i]] / float64(c.quant[zigzagOrder[i]])))
 			}
 			// DC predicted from previous block.
-			payload = appendUvarint(payload, zigzag(int64(q[0]-prevDC)))
+			payload = AppendUvarint(payload, zigzag(int64(q[0]-prevDC)))
 			prevDC = q[0]
 			// AC run-length coding.
 			run := 0
@@ -217,33 +217,33 @@ func (c *FrameCodec) Encode(frame []byte) ([]byte, error) {
 					run++
 					continue
 				}
-				payload = appendUvarint(payload, uint64(run))
-				payload = appendUvarint(payload, zigzag(int64(q[i])))
+				payload = AppendUvarint(payload, uint64(run))
+				payload = AppendUvarint(payload, zigzag(int64(q[i])))
 				run = 0
 			}
-			payload = appendUvarint(payload, eobRun)
+			payload = AppendUvarint(payload, eobRun)
 		}
 	}
-	hdr := appendUvarint(nil, uint64(c.W))
-	hdr = appendUvarint(hdr, uint64(c.H))
-	hdr = appendUvarint(hdr, uint64(c.Quality))
+	hdr := AppendUvarint(nil, uint64(c.W))
+	hdr = AppendUvarint(hdr, uint64(c.H))
+	hdr = AppendUvarint(hdr, uint64(c.Quality))
 	return append(hdr, HuffmanEncode(payload)...), nil
 }
 
 // Decode reverses Encode. The header dimensions and quality must match the
 // codec's configuration.
 func (c *FrameCodec) Decode(data []byte) ([]byte, error) {
-	w64, k1 := uvarint(data)
+	w64, k1 := DecodeUvarint(data)
 	if k1 == 0 {
 		return nil, ErrCorrupt
 	}
 	data = data[k1:]
-	h64, k2 := uvarint(data)
+	h64, k2 := DecodeUvarint(data)
 	if k2 == 0 {
 		return nil, ErrCorrupt
 	}
 	data = data[k2:]
-	q64, k3 := uvarint(data)
+	q64, k3 := DecodeUvarint(data)
 	if k3 == 0 {
 		return nil, ErrCorrupt
 	}
@@ -261,7 +261,7 @@ func (c *FrameCodec) Decode(data []byte) ([]byte, error) {
 	bw, bh := c.blocksAcross()
 	pos := 0
 	next := func() (uint64, error) {
-		v, k := uvarint(payload[pos:])
+		v, k := DecodeUvarint(payload[pos:])
 		if k == 0 {
 			return 0, ErrCorrupt
 		}

@@ -2,47 +2,12 @@ package compress
 
 // Exported column codecs for the telemetry store (internal/telemetry):
 // zigzag-delta varint for integer columns, XOR-prev varint for float
-// columns, and a bit-packed boolean column, plus thin exported wrappers
-// around the MSB-first bit packer the in-package codecs already use. The
-// encoders are self-delimiting only in combination with a caller-kept
-// element count: telemetry blocks store the count once per block rather
-// than once per column.
+// columns, and a bit-packed boolean column on the MSB-first bit packer
+// the in-package codecs already use. The encoders are self-delimiting
+// only in combination with a caller-kept element count: telemetry blocks
+// store the count once per block rather than once per column.
 
 import "math"
-
-// BitWriter packs bits MSB-first into a growing byte buffer. It is the
-// exported face of the packer Golomb-Rice and Huffman use internally.
-type BitWriter struct{ w bitWriter }
-
-// WriteBits appends the low n bits of v, MSB of those n first. n must be
-// ≤ 64.
-func (w *BitWriter) WriteBits(v uint64, n uint) { w.w.writeBits(v, n) }
-
-// Bytes flushes any partial byte (zero-padded) and returns the buffer.
-func (w *BitWriter) Bytes() []byte { return w.w.bytes() }
-
-// BitReader reads bits MSB-first from a byte slice.
-type BitReader struct{ r bitReader }
-
-// NewBitReader reads from buf; the caller keeps ownership of buf.
-func NewBitReader(buf []byte) *BitReader { return &BitReader{bitReader{buf: buf}} }
-
-// ReadBits reads n ≤ 64 bits; it returns ErrCorrupt past end-of-stream.
-func (r *BitReader) ReadBits(n uint) (uint64, error) { return r.r.readBits(n) }
-
-// AppendUvarint appends v in LEB128 (7 bits per byte, low group first).
-func AppendUvarint(dst []byte, v uint64) []byte { return appendUvarint(dst, v) }
-
-// DecodeUvarint decodes one LEB128 value, returning the value and the
-// bytes consumed; consumed is 0 on a truncated or overlong encoding.
-func DecodeUvarint(src []byte) (uint64, int) { return uvarint(src) }
-
-// Zigzag maps signed to unsigned so small-magnitude values of either sign
-// get short varints: 0,-1,1,-2,2 → 0,1,2,3,4.
-func Zigzag(v int64) uint64 { return zigzag(v) }
-
-// Unzigzag inverts Zigzag.
-func Unzigzag(u uint64) int64 { return unzigzag(u) }
 
 // AppendDeltaInts appends vals as zigzag varints of consecutive
 // differences (first value differenced against zero). Sorted or
@@ -50,7 +15,7 @@ func Unzigzag(u uint64) int64 { return unzigzag(u) }
 func AppendDeltaInts(dst []byte, vals []int64) []byte {
 	var prev int64
 	for _, v := range vals {
-		dst = appendUvarint(dst, zigzag(v-prev))
+		dst = AppendUvarint(dst, zigzag(v-prev))
 		prev = v
 	}
 	return dst
@@ -62,7 +27,7 @@ func DecodeDeltaInts(src []byte, dst []int64) (int, error) {
 	var prev int64
 	pos := 0
 	for i := range dst {
-		u, n := uvarint(src[pos:])
+		u, n := DecodeUvarint(src[pos:])
 		if n == 0 {
 			return 0, ErrCorrupt
 		}
@@ -83,7 +48,7 @@ func AppendDelta2Ints(dst []byte, vals []int64) []byte {
 	var prev, prevDelta int64
 	for _, v := range vals {
 		delta := v - prev
-		dst = appendUvarint(dst, zigzag(delta-prevDelta))
+		dst = AppendUvarint(dst, zigzag(delta-prevDelta))
 		prev, prevDelta = v, delta
 	}
 	return dst
@@ -96,7 +61,7 @@ func DecodeDelta2Ints(src []byte, dst []int64) (int, error) {
 	var prev, prevDelta int64
 	pos := 0
 	for i := range dst {
-		u, n := uvarint(src[pos:])
+		u, n := DecodeUvarint(src[pos:])
 		if n == 0 {
 			return 0, ErrCorrupt
 		}
@@ -117,7 +82,7 @@ func AppendXorFloats(dst []byte, vals []float64) []byte {
 	var prev uint64
 	for _, v := range vals {
 		bits := math.Float64bits(v)
-		dst = appendUvarint(dst, bits^prev)
+		dst = AppendUvarint(dst, bits^prev)
 		prev = bits
 	}
 	return dst
@@ -129,7 +94,7 @@ func DecodeXorFloats(src []byte, dst []float64) (int, error) {
 	var prev uint64
 	pos := 0
 	for i := range dst {
-		u, n := uvarint(src[pos:])
+		u, n := DecodeUvarint(src[pos:])
 		if n == 0 {
 			return 0, ErrCorrupt
 		}

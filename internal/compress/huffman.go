@@ -117,7 +117,7 @@ func canonicalCodes(lengths *[256]uint8) (codes [256]uint64, ok bool) {
 // For src whose coded form would exceed the raw size the caller should
 // fall back; this function always encodes.
 func HuffmanEncode(src []byte) []byte {
-	out := appendUvarint(nil, uint64(len(src)))
+	out := AppendUvarint(nil, uint64(len(src)))
 	var freq [256]uint64
 	for _, b := range src {
 		freq[b]++
@@ -141,7 +141,7 @@ func HuffmanEncode(src []byte) []byte {
 
 // HuffmanDecode reverses HuffmanEncode.
 func HuffmanDecode(src []byte) ([]byte, error) {
-	n, k := uvarint(src)
+	n, k := DecodeUvarint(src)
 	if k == 0 || n > 1<<30 {
 		return nil, ErrCorrupt
 	}

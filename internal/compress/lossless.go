@@ -9,11 +9,11 @@ package compress
 // EncodeDeltaVarint losslessly compresses 16-bit samples by first-order
 // delta followed by zigzag LEB128 varints.
 func EncodeDeltaVarint(samples []int16) []byte {
-	out := appendUvarint(nil, uint64(len(samples)))
+	out := AppendUvarint(nil, uint64(len(samples)))
 	prev := int16(0)
 	for _, s := range samples {
 		d := int64(s) - int64(prev)
-		out = appendUvarint(out, zigzag(d))
+		out = AppendUvarint(out, zigzag(d))
 		prev = s
 	}
 	return out
@@ -21,7 +21,7 @@ func EncodeDeltaVarint(samples []int16) []byte {
 
 // DecodeDeltaVarint reverses EncodeDeltaVarint.
 func DecodeDeltaVarint(src []byte) ([]int16, error) {
-	n, k := uvarint(src)
+	n, k := DecodeUvarint(src)
 	if k == 0 {
 		return nil, ErrCorrupt
 	}
@@ -32,7 +32,7 @@ func DecodeDeltaVarint(src []byte) ([]int16, error) {
 	out := make([]int16, 0, n)
 	prev := int64(0)
 	for i := uint64(0); i < n; i++ {
-		u, k := uvarint(src)
+		u, k := DecodeUvarint(src)
 		if k == 0 {
 			return nil, ErrCorrupt
 		}
@@ -73,8 +73,8 @@ func RiceEncode(vals []int32, k uint) []byte {
 	if k > 30 {
 		k = 30
 	}
-	hdr := appendUvarint(nil, uint64(k))
-	hdr = appendUvarint(hdr, uint64(len(vals)))
+	hdr := AppendUvarint(nil, uint64(k))
+	hdr = AppendUvarint(hdr, uint64(len(vals)))
 	w := &bitWriter{buf: hdr}
 	for _, v := range vals {
 		u := zigzag(int64(v))
@@ -96,12 +96,12 @@ func RiceEncode(vals []int32, k uint) []byte {
 
 // RiceDecode reverses RiceEncode.
 func RiceDecode(src []byte) ([]int32, error) {
-	k64, n1 := uvarint(src)
+	k64, n1 := DecodeUvarint(src)
 	if n1 == 0 || k64 > 30 {
 		return nil, ErrCorrupt
 	}
 	src = src[n1:]
-	count, n2 := uvarint(src)
+	count, n2 := DecodeUvarint(src)
 	if n2 == 0 || count > 1<<30 {
 		return nil, ErrCorrupt
 	}
@@ -176,13 +176,13 @@ func UndeltaInt16(deltas []int32) ([]int16, error) {
 // RLEEncode byte-wise run-length encodes src as (count, value) pairs with
 // LEB128 counts — effective on event-stream and mask data.
 func RLEEncode(src []byte) []byte {
-	out := appendUvarint(nil, uint64(len(src)))
+	out := AppendUvarint(nil, uint64(len(src)))
 	for i := 0; i < len(src); {
 		j := i + 1
 		for j < len(src) && src[j] == src[i] {
 			j++
 		}
-		out = appendUvarint(out, uint64(j-i))
+		out = AppendUvarint(out, uint64(j-i))
 		out = append(out, src[i])
 		i = j
 	}
@@ -191,14 +191,14 @@ func RLEEncode(src []byte) []byte {
 
 // RLEDecode reverses RLEEncode.
 func RLEDecode(src []byte) ([]byte, error) {
-	total, k := uvarint(src)
+	total, k := DecodeUvarint(src)
 	if k == 0 || total > 1<<30 {
 		return nil, ErrCorrupt
 	}
 	src = src[k:]
 	out := make([]byte, 0, total)
 	for uint64(len(out)) < total {
-		run, k := uvarint(src)
+		run, k := DecodeUvarint(src)
 		if k == 0 || run == 0 || uint64(len(out))+run > total {
 			return nil, ErrCorrupt
 		}

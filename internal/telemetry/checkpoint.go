@@ -40,6 +40,26 @@ func (ck *checkpoint) consistentWith(hdrLen, size int64) bool {
 		(ck.Blocks == 0) == (ck.Offset == hdrLen)
 }
 
+// trustedCheckpoint reads the checkpoint sidecar of the store at path
+// and then stats f, the open store, in that order: a live writer commits
+// the block first and renames the checkpoint second, so a checkpoint
+// read first always lies within the size observed after it. The reverse
+// order can pair a fresh checkpoint with a stale size and reject a
+// consistent store. It returns the file size and, when ckErr is nil, a
+// checkpoint that is valid and consistent with that size; err reports a
+// failed stat.
+func trustedCheckpoint(f *os.File, path string, meta Meta, hdrLen int64) (ck checkpoint, size int64, ckErr, err error) {
+	ck, ckErr = readCheckpoint(path, meta)
+	st, err := f.Stat()
+	if err != nil {
+		return checkpoint{}, 0, nil, err
+	}
+	if ckErr == nil && !ck.consistentWith(hdrLen, st.Size()) {
+		ckErr = fmt.Errorf("%w: checkpoint does not describe %s", ErrCorrupt, path)
+	}
+	return ck, st.Size(), ckErr, nil
+}
+
 // sum is the self-check over the checkpoint's payload fields.
 func (ck *checkpoint) sum() uint32 {
 	return crc32.ChecksumIEEE(fmt.Appendf(nil, "%d|%d|%d|%d",

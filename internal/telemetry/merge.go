@@ -48,16 +48,12 @@ func Committed(path string) (Meta, int64, int, error) {
 	if err := checkVersion(meta); err != nil {
 		return Meta{}, 0, 0, err
 	}
-	st, err := f.Stat()
+	ck, _, ckErr, err := trustedCheckpoint(f, path, meta, hdrLen)
+	if err == nil {
+		err = ckErr
+	}
 	if err != nil {
 		return Meta{}, 0, 0, fmt.Errorf("telemetry: committed: %w", err)
-	}
-	ck, err := readCheckpoint(path, meta)
-	if err != nil {
-		return Meta{}, 0, 0, fmt.Errorf("telemetry: committed: %w", err)
-	}
-	if !ck.consistentWith(hdrLen, st.Size()) {
-		return Meta{}, 0, 0, fmt.Errorf("%w: checkpoint does not describe %s", ErrCorrupt, path)
 	}
 	return meta, ck.Offset, ck.NextWearer, nil
 }

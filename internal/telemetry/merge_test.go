@@ -465,3 +465,58 @@ func TestWriterOffset(t *testing.T) {
 		t.Errorf("Committed offset %d != writer offset %d", off, w.Offset())
 	}
 }
+
+// TestCommittedLiveWriter polls Committed while a block-size-1 writer
+// commits under it, as the store endpoint does for a running sweep.
+// Every call must succeed and report a non-decreasing extent: a commit
+// that lands mid-call grows the file and then advances the checkpoint,
+// and Committed must never pair the new checkpoint with the old size.
+func TestCommittedLiveWriter(t *testing.T) {
+	const n = 4000
+	path := filepath.Join(t.TempDir(), "live.wtl")
+	w, err := Create(path, testMeta(n, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := w.Consume(testRecord(i)); err != nil {
+				w.Abort()
+				done <- err
+				return
+			}
+		}
+		done <- w.Close()
+	}()
+	calls, failed, lastNext := 0, 0, 0
+	var firstErr error
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		calls++
+		_, _, next, err := Committed(path)
+		if err != nil {
+			if failed++; firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if next < lastNext {
+			t.Errorf("committed next wearer went back from %d to %d", lastNext, next)
+		}
+		lastNext = next
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d Committed calls against a live writer failed; first: %v", failed, calls, firstErr)
+	}
+	if lastNext != n {
+		t.Errorf("final committed next wearer %d, want %d", lastNext, n)
+	}
+}

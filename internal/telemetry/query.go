@@ -170,11 +170,8 @@ func QueryStore(path string, q Query) (*SeriesStats, error) {
 			if !q.admits(e) {
 				continue
 			}
-			recs, _, err := readFrameAt(f, e.recOffset, limit, meta.Version)
+			recs, _, _, err := readPairAt(f, e.recOffset, limit, meta)
 			if err != nil {
-				return nil, fmt.Errorf("telemetry: query: %w", err)
-			}
-			if _, err := readSeriesFrameAt(f, e.serOffset, limit, recs); err != nil {
 				return nil, fmt.Errorf("telemetry: query: %w", err)
 			}
 			for j := range recs {
@@ -213,16 +210,12 @@ func loadIndex(f *os.File, path string, meta Meta, hdrLen int64) (entries []inde
 	if meta.Version < FormatV3 {
 		return nil, 0, false
 	}
-	st, err := f.Stat()
-	if err != nil {
+	ck, size, ckErr, err := trustedCheckpoint(f, path, meta, hdrLen)
+	if err != nil || ckErr != nil || ck.Offset >= size {
 		return nil, 0, false
 	}
-	ck, err := readCheckpoint(path, meta)
-	if err != nil || !ck.consistentWith(hdrLen, st.Size()) || ck.Offset >= st.Size() {
-		return nil, 0, false
-	}
-	payload, end, err := readFramePayload(f, ck.Offset, st.Size())
-	if err != nil || end != st.Size() {
+	payload, end, err := readFramePayload(f, ck.Offset, size)
+	if err != nil || end != size {
 		return nil, 0, false
 	}
 	kind, body, err := splitKind(payload, meta.Version)

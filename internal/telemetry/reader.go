@@ -41,7 +41,7 @@ type Reader struct {
 // openCommon is the shared open prologue: open the file and verify its
 // header and format version. On error the file is closed. Statting is
 // left to the caller — Open must read the checkpoint sidecar before
-// observing the size.
+// observing the size (trustedCheckpoint).
 func openCommon(path string) (f *os.File, meta Meta, hdrLen int64, err error) {
 	f, err = os.Open(path)
 	if err != nil {
@@ -66,19 +66,13 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Read the checkpoint before statting: a live writer commits the
-	// block first and renames the checkpoint second, so in this order a
-	// valid checkpoint's offset is always within the observed size — the
-	// reverse order could see a fresh checkpoint past a stale size and
-	// wrongly degrade to truncated-scan mode.
-	ck, ckErr := readCheckpoint(path, meta)
-	st, err := f.Stat()
+	ck, size, ckErr, err := trustedCheckpoint(f, path, meta, hdrLen)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("telemetry: open: %w", err)
 	}
-	r := &Reader{f: f, meta: meta, pos: hdrLen, limit: st.Size(), size: st.Size()}
-	if ckErr == nil && ck.consistentWith(hdrLen, st.Size()) {
+	r := &Reader{f: f, meta: meta, pos: hdrLen, limit: size, size: size}
+	if ckErr == nil {
 		r.limit = ck.Offset
 		r.ckValid = true
 	}

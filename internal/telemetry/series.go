@@ -323,3 +323,21 @@ func readSeriesFrameAt(f *os.File, pos, limit int64, recs []Record) (int64, erro
 	}
 	return end, nil
 }
+
+// readPairAt reads the record frame at pos and, in a series-enabled
+// store, the series frame committed with it, attaching its samples to the
+// records. serOff is the series frame's offset (0 without series) and end
+// the offset past the pair. The pair was written in one commit, so a
+// record frame without its series frame is an error like any other
+// damage.
+func readPairAt(f *os.File, pos, limit int64, meta Meta) (recs []Record, serOff, end int64, err error) {
+	recs, end, err = readFrameAt(f, pos, limit, meta.Version)
+	if err != nil || !meta.Series() {
+		return recs, 0, end, err
+	}
+	serOff = end
+	if end, err = readSeriesFrameAt(f, serOff, limit, recs); err != nil {
+		return nil, 0, 0, err
+	}
+	return recs, serOff, end, nil
+}

@@ -129,20 +129,17 @@ func resume(f *os.File, path string) (*Writer, error) {
 	if err := checkVersion(meta); err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	ck, size, ckErr, err := trustedCheckpoint(f, path, meta, hdrLen)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: resume: %w", err)
 	}
-	size := st.Size()
 	w := &Writer{f: f, path: path, meta: meta, hdrLen: hdrLen, next: meta.FirstWearer}
-	ck, ckErr := readCheckpoint(path, meta)
-	switch {
-	case ckErr == nil && ck.consistentWith(hdrLen, size):
+	if ckErr == nil {
 		w.offset, w.blocks, w.next = ck.Offset, ck.Blocks, ck.NextWearer
 		// The checkpoint path never reads the committed frames, so the
 		// query-index entries are unknown; Close rebuilds them.
 		w.reindex = meta.Version >= FormatV3 && w.blocks > 0
-	default:
+	} else {
 		// No (or implausible) checkpoint: rebuild one from the longest
 		// verifiable block prefix, one block in memory at a time. A v3
 		// record block and its series frame commit as one write, so the
@@ -152,16 +149,9 @@ func resume(f *os.File, path string) (*Writer, error) {
 		// non-record kinds) and deterministically rewritten at Close.
 		w.offset = hdrLen
 		for w.offset < size {
-			recs, end, ferr := readFrameAt(f, w.offset, size, meta.Version)
+			recs, serOff, end, ferr := readPairAt(f, w.offset, size, meta)
 			if ferr != nil || len(recs) == 0 || recs[0].Wearer != w.next {
-				break // damaged or non-contiguous: uncommitted tail
-			}
-			serOff := int64(0)
-			if meta.Series() {
-				serOff = end
-				if end, ferr = readSeriesFrameAt(f, end, size, recs); ferr != nil {
-					break // torn pair: discard the record frame too
-				}
+				break // damaged, torn or non-contiguous: uncommitted tail
 			}
 			if meta.Version >= FormatV3 {
 				w.entries = append(w.entries, entryFor(w.offset, serOff, recs))
@@ -321,19 +311,12 @@ func (w *Writer) rebuildEntries() error {
 	pos := w.hdrLen
 	next := w.meta.FirstWearer
 	for pos < w.offset {
-		recs, end, err := readFrameAt(w.f, pos, w.offset, w.meta.Version)
+		recs, serOff, end, err := readPairAt(w.f, pos, w.offset, w.meta)
 		if err != nil {
 			return fmt.Errorf("telemetry: reindex: %w", err)
 		}
 		if len(recs) == 0 || recs[0].Wearer != next {
 			return fmt.Errorf("%w: reindex: non-contiguous wearer indices", ErrCorrupt)
-		}
-		serOff := int64(0)
-		if w.meta.Series() {
-			serOff = end
-			if end, err = readSeriesFrameAt(w.f, end, w.offset, recs); err != nil {
-				return fmt.Errorf("telemetry: reindex: %w", err)
-			}
 		}
 		w.entries = append(w.entries, entryFor(pos, serOff, recs))
 		next += len(recs)
