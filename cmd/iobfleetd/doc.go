@@ -34,9 +34,11 @@
 //
 // The store endpoints serve exactly the checkpointed byte prefix —
 // never the volatile tail or the trailing index — honoring ?from= for
-// incremental pulls and reporting X-Committed-Offset, X-Next-Wearer
-// and X-Sweep-Status headers, which is what makes a store an
-// append-only replication feed.
+// incremental pulls, which is what makes a store an append-only
+// replication feed. /api/sweeps/{id}/store also carries the sweep's
+// state in X-Sweep-Status, X-Sweep-Error (failed sweeps), X-Next-Wearer,
+// X-Committed-Offset and X-Iobfleetd-Instance headers, and answers 200
+// with an empty body and X-Next-Wearer -1 before the first commit.
 //
 //	curl -d '{"wearers":1000,"seed":42,"dur_seconds":600,"cells":50}' \
 //	    localhost:9370/api/sweeps
@@ -153,12 +155,12 @@
 // dies and comes back on the same address resumes its recovered shard
 // from its own checkpoint; a replacement backend with an empty data
 // dir seed-pulls the coordinator's partial replica (the shards/{k}
-// endpoint) and appends from there. Backend selection consults
-// /healthz, which reports readiness — 200 while accepting work, 503
-// once draining — so a draining backend stops receiving shards. Each
-// sweep response carries an X-Iobfleetd-Instance nonce, so a
-// supervisor notices a backend that was killed and restarted between
-// two polls even when the address never changed.
+// endpoint) and appends from there. Dispatch needs no readiness probe:
+// a draining backend refuses the POST with 503, as does one with a full
+// queue, and the coordinator rotates to the next backend. Each store
+// feed answer carries an X-Iobfleetd-Instance nonce, so a supervisor
+// notices a backend that was killed and restarted between two polls
+// even when the address never changed.
 // TestShardedFingerprint and TestShardedSeriesFingerprint (bytes and
 // fingerprint vs an unsharded run, both coupling modes, series on and
 // off) and TestShardedChaosKillResume (a backend SIGKILLed mid-sweep

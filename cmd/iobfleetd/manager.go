@@ -30,6 +30,14 @@ var errDrained = errors.New("iobfleetd: draining")
 // terminally as "cancelled" instead of re-queueing on restart.
 var errCancelled = errors.New("iobfleetd: sweep cancelled")
 
+// submit() refusals the POST handler maps to 503 and 500: a full queue is
+// transient (the same spec succeeds later or on another backend), and so
+// is a sidecar write failure — neither is the spec's fault.
+var (
+	errQueueFull = errors.New("sweep queue full")
+	errPersist   = errors.New("persisting sweep state")
+)
+
 // cancel() result sentinels, mapped to HTTP codes by the DELETE handler.
 var (
 	errNoSweep  = errors.New("no such sweep")
@@ -192,7 +200,7 @@ type manager struct {
 	metrics *daemonMetrics
 
 	// instance is this process's nonce, served as X-Iobfleetd-Instance on
-	// sweep-state responses. A backend SIGKILLed and restarted inside one
+	// store-feed responses. A backend SIGKILLed and restarted inside one
 	// poll interval is otherwise invisible to its coordinator — every
 	// request before and after the blink succeeds — but the blink rolls
 	// the nonce, so supervisors detect the silent restart and re-dispatch
@@ -384,7 +392,7 @@ func (m *manager) submit(spec sweep.Spec) (sweepState, error) {
 				if m.queued >= m.queueCap {
 					sw.mu.Unlock()
 					m.mu.Unlock()
-					return sweepState{}, fmt.Errorf("sweep queue full")
+					return sweepState{}, errQueueFull
 				}
 				sw.st.Status = statusQueued
 				sw.st.CancelRequested = false
@@ -394,7 +402,7 @@ func (m *manager) submit(spec sweep.Spec) (sweepState, error) {
 				if err := m.persist(sw); err != nil {
 					sw.mu.Unlock()
 					m.mu.Unlock()
-					return sweepState{}, err
+					return sweepState{}, fmt.Errorf("%w: %w", errPersist, err)
 				}
 				sw.publish(false)
 				m.queued++
@@ -415,14 +423,14 @@ func (m *manager) submit(spec sweep.Spec) (sweepState, error) {
 	if m.queued >= m.queueCap {
 		// Back-pressure the client rather than block the HTTP handler.
 		m.mu.Unlock()
-		return sweepState{}, fmt.Errorf("sweep queue full")
+		return sweepState{}, errQueueFull
 	}
 	id := fmt.Sprintf("s%06d", m.nextID)
 	m.nextID++
 	sw := newJob(sweepState{ID: id, Spec: spec, Status: statusQueued})
 	if err := m.persist(sw); err != nil {
 		m.mu.Unlock()
-		return sweepState{}, err
+		return sweepState{}, fmt.Errorf("%w: %w", errPersist, err)
 	}
 	m.sweeps[id] = sw
 	m.order = append(m.order, id)
@@ -461,17 +469,23 @@ func (m *manager) list() []sweepState {
 	return out
 }
 
-// persist writes the sweep's sidecar atomically (temp + rename), the
-// same durability discipline as the telemetry checkpoint: a crash
-// leaves either the old state or the new, never a torn file.
+// persist writes the sweep's sidecar atomically.
 func (m *manager) persist(sw *job) error {
 	raw, err := json.MarshalIndent(&sw.st, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(m.dir, sw.st.ID+".json")
+	return writeFileAtomic(filepath.Join(m.dir, sw.st.ID+".json"), append(raw, '\n'))
+}
+
+// writeFileAtomic replaces path with raw via a temp file and a rename,
+// the same durability discipline as the telemetry checkpoint: a crash
+// leaves either the old content or the new, never a torn file. Every
+// piece of daemon state (sweep sidecars, the membership table) is
+// written through here.
+func writeFileAtomic(path string, raw []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -886,10 +900,10 @@ func (m *manager) registerMetrics(reg *obs.Registry) {
 		"Dynamic backends whose heartbeats fell silent past -expire.", nil)
 	reg.NewGaugeFunc("iobfleetd_backends_registered",
 		"Membership table entries (static and dynamic, live or expired).", nil,
-		func() float64 { t, _, _ := m.members.counts(); return float64(t) })
+		func() float64 { t, _ := m.members.counts(); return float64(t) })
 	reg.NewGaugeFunc("iobfleetd_backends_live",
 		"Membership entries currently selectable for shard dispatch.", nil,
-		func() float64 { _, l, _ := m.members.counts(); return float64(l) })
+		func() float64 { _, l := m.members.counts(); return float64(l) })
 
 	reg.NewGaugeFunc("iobfleetd_goroutines", "Goroutines in the daemon process.", nil,
 		func() float64 { return float64(runtime.NumGoroutine()) })

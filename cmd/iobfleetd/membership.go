@@ -123,8 +123,8 @@ func (ms *membership) load() error {
 	return nil
 }
 
-// persistLocked writes the dynamic half of the table atomically (temp +
-// rename), the same durability discipline as the sweep sidecars. Static
+// persistLocked writes the dynamic half of the table atomically, the
+// same durability discipline as the sweep sidecars. Static
 // entries are re-derived from the -backends flag each start, so they
 // are deliberately not persisted. Caller holds mu.
 func (ms *membership) persistLocked() error {
@@ -144,11 +144,7 @@ func (ms *membership) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := ms.path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, ms.path)
+	return writeFileAtomic(ms.path, append(raw, '\n'))
 }
 
 func inc(c *obs.Counter) {
@@ -213,7 +209,11 @@ func (ms *membership) deregister(raw string) bool {
 		return false
 	}
 	delete(ms.entries, u)
-	ms.persistLocked()
+	if err := ms.persistLocked(); err != nil {
+		// The entry is gone from memory either way; a stale file only
+		// revives it on restart, until its TTL expires it again.
+		fmt.Fprintf(os.Stderr, "iobfleetd: persisting membership: %v\n", err)
+	}
 	return true
 }
 
@@ -232,22 +232,22 @@ func (ms *membership) expireLocked(m *member, now time.Time) bool {
 
 // live returns the selectable backend URLs — static members plus every
 // dynamic member inside its TTL — in sorted order, so round-robin
-// placement is deterministic for a given fleet. any reports whether the
-// table holds entries at all (live or expired): a fleet that was
-// configured but is momentarily all-dead should make dispatch wait for
-// a heartbeat, not silently fall back to loopback.
-func (ms *membership) live() (urls []string, any bool) {
+// placement is deterministic for a given fleet. configured reports
+// whether the table holds entries at all (live or expired): a fleet that
+// was configured but is momentarily all-dead should make dispatch wait
+// for a heartbeat, not silently fall back to loopback.
+func (ms *membership) live() (urls []string, configured bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	now := ms.now()
 	for _, m := range ms.entries {
-		any = true
+		configured = true
 		if !ms.expireLocked(m, now) {
 			urls = append(urls, m.URL)
 		}
 	}
 	sort.Strings(urls)
-	return urls, any
+	return urls, configured
 }
 
 // list returns every table row with its derived liveness, sorted by
@@ -264,31 +264,28 @@ func (ms *membership) list() []memberState {
 	return out
 }
 
-// counts returns (total entries, live entries, static entries) for the
-// membership gauges in one lock acquisition.
-func (ms *membership) counts() (total, live, static int) {
+// counts returns (total entries, live entries) for the membership
+// gauges in one lock acquisition.
+func (ms *membership) counts() (total, live int) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	now := ms.now()
 	for _, m := range ms.entries {
 		total++
-		if m.Static {
-			static++
-		}
 		if !ms.expireLocked(m, now) {
 			live++
 		}
 	}
-	return total, live, static
+	return total, live
 }
 
 // heartbeat keeps this daemon registered with one coordinator: an
 // immediate POST /api/backends, then one per interval, until stop
 // closes — at which point it deregisters best-effort so the
-// coordinator stops selecting a backend that is about to drain (the
-// /healthz gate would catch it anyway; this just makes goodbye
-// explicit). Registration failures are retried on the next tick: a
-// coordinator restart loses nothing but one beat.
+// coordinator stops selecting a backend that is about to drain (its
+// POSTs would 503 anyway; this just makes goodbye explicit).
+// Registration failures are retried on the next tick: a coordinator
+// restart loses nothing but one beat.
 func heartbeat(client *http.Client, coordinator, self string, interval time.Duration, stop <-chan struct{}) {
 	body, _ := json.Marshal(map[string]string{"url": self})
 	post := func() {

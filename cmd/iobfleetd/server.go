@@ -27,7 +27,7 @@ import (
 //	GET    /api/backends              the membership table with per-entry liveness
 //	DELETE /api/backends?url=...      deregister a backend
 //	POST   /api/loads                 shard protocol: gather a wearer range's offered loads
-//	GET    /api/sweeps/{id}/store     shard protocol: committed store bytes from an offset
+//	GET    /api/sweeps/{id}/store     shard protocol: committed store bytes from an offset, state in headers
 //	GET    /api/sweeps/{id}/shards/{k}/store  coordinator's partial shard copy (seed store)
 //	GET    /debug/pprof/...           Go profiling endpoints
 func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
@@ -35,8 +35,8 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		// Health is readiness, not liveness: a draining daemon 503s POSTs,
-		// so it must 503 here too — coordinators select backends by this
-		// probe, and "healthy but refuses work" would stall shard dispatch.
+		// so it must 503 here too — "healthy but refuses work" would
+		// mislead a load balancer or a benchmark waiting for readiness.
 		if m.isDraining() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte("draining\n"))
@@ -57,6 +57,10 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 		switch {
 		case errors.Is(err, errDrained):
 			httpError(w, http.StatusServiceUnavailable, "draining; resubmit to the next process")
+		case errors.Is(err, errQueueFull):
+			httpError(w, http.StatusServiceUnavailable, err.Error()+"; retry later or elsewhere")
+		case errors.Is(err, errPersist):
+			httpError(w, http.StatusInternalServerError, err.Error())
 		case err != nil:
 			httpError(w, http.StatusBadRequest, err.Error())
 		default:
@@ -72,10 +76,6 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 			httpError(w, http.StatusNotFound, "no such sweep")
 			return
 		}
-		// The process nonce: a coordinator polling a shard sub-sweep reads
-		// a changed instance as "this backend died and came back", however
-		// briefly the blink lasted.
-		w.Header().Set("X-Iobfleetd-Instance", m.instance)
 		writeJSON(w, http.StatusOK, sw.snapshot())
 	})
 	mux.HandleFunc("DELETE /api/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -176,44 +176,61 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 		writeJSON(w, http.StatusOK, loadsResponse{Loads: loads.Export(), Members: members})
 	})
 	mux.HandleFunc("GET /api/sweeps/{id}/store", func(w http.ResponseWriter, r *http.Request) {
-		// The shard protocol's replication feed: the store's committed bytes
-		// from ?from= (default 0) to the checkpoint. Safe against a live
-		// writer — the checkpoint bounds the read, and committed bytes never
-		// change — and never serves the trailing index frame, which lies
-		// past the final checkpoint by design.
+		// The shard protocol's replication feed and a coordinator's whole
+		// poll answer: the store's committed bytes from ?from= (default 0)
+		// to the checkpoint, plus the sweep's state in headers. Safe against
+		// a live writer — the checkpoint bounds the read, and committed
+		// bytes never change — and never serves the trailing index frame,
+		// which lies past the final checkpoint by design. A sweep with no
+		// committed store yet serves an empty range at next wearer -1.
 		sw, ok := m.get(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, "no such sweep")
 			return
 		}
-		path := m.storePath(sw.snapshot().ID)
-		_, off, next, err := telemetry.Committed(path)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "no committed store yet: "+err.Error())
-			return
-		}
 		from := int64(0)
 		if q := r.URL.Query().Get("from"); q != "" {
+			var err error
 			if from, err = strconv.ParseInt(q, 10, 64); err != nil || from < 0 {
 				httpError(w, http.StatusBadRequest, "bad from offset")
 				return
 			}
 		}
-		if from > off {
-			from = off // nothing new; serve an empty range rather than error
+		// State before store: a final commit landing between the two reads
+		// then shows as running with a complete store (the next poll sees
+		// done), never as done with a store short of the range end.
+		st := sw.snapshot()
+		path := m.storePath(st.ID)
+		off, next := int64(0), -1
+		if _, o, n, err := telemetry.Committed(path); err == nil {
+			off, next = o, n
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
+		from = min(from, off) // nothing new serves an empty range, not an error
+		var f *os.File
+		if from < off {
+			var err error
+			if f, err = os.Open(path); err != nil {
+				httpError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+			defer f.Close()
 		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Committed-Offset", strconv.FormatInt(off, 10))
-		w.Header().Set("X-Next-Wearer", strconv.Itoa(next))
-		w.Header().Set("X-Sweep-Status", sw.snapshot().Status)
-		w.Header().Set("Content-Length", strconv.FormatInt(off-from, 10))
-		io.Copy(w, io.NewSectionReader(f, from, off-from))
+		h := w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		// The process nonce: a coordinator polling a shard sub-sweep reads
+		// a changed instance as "this backend died and came back", however
+		// briefly the blink lasted.
+		h.Set("X-Iobfleetd-Instance", m.instance)
+		h.Set("X-Sweep-Status", st.Status)
+		if st.Status == statusFailed {
+			h.Set("X-Sweep-Error", st.Error)
+		}
+		h.Set("X-Committed-Offset", strconv.FormatInt(off, 10))
+		h.Set("X-Next-Wearer", strconv.Itoa(next))
+		h.Set("Content-Length", strconv.FormatInt(off-from, 10))
+		if f != nil {
+			io.Copy(w, io.NewSectionReader(f, from, off-from))
+		}
 	})
 	mux.HandleFunc("GET /api/sweeps/{id}/shards/{k}/store", func(w http.ResponseWriter, r *http.Request) {
 		// The coordinator's partial copy of shard k's store — the seed a

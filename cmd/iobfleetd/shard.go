@@ -31,8 +31,12 @@ package main
 // reach committed-complete wins, and the loser is cancelled (DELETE) —
 // the merged store cannot tell the difference. Backends come from the
 // live membership table (static -backends entries plus dynamically
-// registered daemons), gated on a drain-aware /healthz probe at
-// selection time.
+// registered daemons).
+//
+// The whole conversation with a backend is three requests: POST
+// (/api/loads or /api/sweeps — its own readiness probe, since a draining
+// backend refuses it with 503), GET /api/sweeps/{id}/store (replication
+// and the sub-sweep's state in one answer), and DELETE (cancel).
 
 import (
 	"bytes"
@@ -56,7 +60,7 @@ import (
 	"wiban/internal/units"
 )
 
-// shardPollInterval paces the supervisor's status/fetch loop against a
+// shardPollInterval paces the supervisor's store-feed loop against a
 // healthy backend; retries after a backend error back off separately.
 const shardPollInterval = 50 * time.Millisecond
 
@@ -115,26 +119,14 @@ func (m *manager) shardPath(id string, k int) string {
 // the caller waits for a heartbeat — a fleet that is momentarily
 // all-dead must not silently collapse into loopback self-dispatch.
 func (m *manager) backendFor(k, attempt int) string {
-	live, any := m.members.live()
+	live, configured := m.members.live()
 	if len(live) == 0 {
-		if any {
+		if configured {
 			return ""
 		}
 		return m.selfBase
 	}
 	return live[(k+attempt)%len(live)]
-}
-
-// healthy probes a backend's readiness. A draining backend answers 503
-// (it would refuse the submission anyway), so selection skips it.
-func (m *manager) healthy(base string) bool {
-	resp, err := m.client.Get(base + "/healthz")
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // drained reports whether the daemon began draining; pause sleeps without
@@ -212,23 +204,37 @@ func (m *manager) postJSON(url string, in, out any) error {
 	return json.Unmarshal(body, out)
 }
 
-// getJSON fetches and decodes one API object, also reporting the
-// responding daemon's X-Iobfleetd-Instance nonce ("" when absent).
-func (m *manager) getJSON(url string, out any) (string, error) {
-	resp, err := m.client.Get(url)
-	if err != nil {
-		return "", err
+// postRetrying POSTs in to route on shard k's backend, rotating through
+// the fleet until one accepts, and returns the accepting backend. The
+// POST is its own readiness probe: a draining backend refuses it with
+// 503, which rotates like any transport error. A 400 is a deterministic
+// spec rejection and fails the shard. *attempt is the caller's rotation
+// counter; every try consumes one, so a later re-dispatch starts at the
+// backend after the last one tried.
+func (m *manager) postRetrying(k int, attempt *int, route string, in, out any, cancel <-chan struct{}) (string, error) {
+	for {
+		select {
+		case <-cancel:
+			return "", errCancelled
+		default:
+		}
+		if m.drained() {
+			return "", errDrained
+		}
+		try := *attempt
+		*attempt++
+		if b := m.backendFor(k, try); b != "" {
+			err := m.postJSON(b+route, in, out)
+			if err == nil {
+				return b, nil
+			}
+			if permanent(err) {
+				return "", fmt.Errorf("shard %d rejected by %s%s: %w", k, b, route, err)
+			}
+		}
+		m.metrics.shardRetries.Inc()
+		m.pause(backoffDelay(try), cancel)
 	}
-	defer resp.Body.Close()
-	inst := resp.Header.Get("X-Iobfleetd-Instance")
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return inst, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return inst, &httpStatusError{resp.StatusCode, strings.TrimSpace(string(body))}
-	}
-	return inst, json.Unmarshal(body, out)
 }
 
 // runSharded executes a coordinator sweep: the loads round across the
@@ -392,7 +398,8 @@ func (m *manager) gatherShards(spec sweep.Spec, ranges [][2]int, cancel <-chan s
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			results[k].resp, results[k].err = m.gatherShard(k, shardSub(spec, ranges[k]), cancel)
+			attempt := 0
+			_, results[k].err = m.postRetrying(k, &attempt, "/api/loads", shardSub(spec, ranges[k]), &results[k].resp, cancel)
 		}(k)
 	}
 	wg.Wait()
@@ -446,34 +453,6 @@ func (m *manager) gatherShards(spec sweep.Spec, ranges [][2]int, cancel <-chan s
 	return loads, res, nil
 }
 
-// gatherShard asks one backend for a shard's partial loads, rotating
-// backends until one answers; a 400 is a deterministic spec rejection and
-// fails the sweep, everything else retries.
-func (m *manager) gatherShard(k int, sub sweep.Spec, cancel <-chan struct{}) (loadsResponse, error) {
-	var out loadsResponse
-	for attempt := 0; ; attempt++ {
-		select {
-		case <-cancel:
-			return out, errCancelled
-		default:
-		}
-		if m.drained() {
-			return out, errDrained
-		}
-		if b := m.backendFor(k, attempt); b != "" && m.healthy(b) {
-			err := m.postJSON(b+"/api/loads", sub, &out)
-			if err == nil {
-				return out, nil
-			}
-			if permanent(err) {
-				return out, fmt.Errorf("shard %d loads rejected by %s: %w", k, b, err)
-			}
-		}
-		m.metrics.shardRetries.Inc()
-		m.pause(backoffDelay(attempt), cancel)
-	}
-}
-
 // shardHost is one backend currently executing a shard's sub-sweep.
 // Normally there is exactly one; a straggler gets a speculative second
 // copy, and the first to reach committed-complete wins. instance pins
@@ -488,12 +467,13 @@ type shardHost struct {
 
 // superviseShard owns one shard from dispatch to full replication. It
 // submits the sub-sweep (idempotently, by label) to a live backend,
-// polls its state, and appends each newly committed byte range of its
-// store to the local partial copy. A backend lost or drained mid-shard
-// is re-dispatched: a restarted backend finds the label in its
-// recovered state and resumes from its own checkpoint; a replacement
-// backend pulls the partial copy as its seed store. Both write the
-// identical byte stream, so the partial only ever extends.
+// then polls its store feed, which appends each newly committed byte
+// range to the local partial copy and reports the sub-sweep's state in
+// the same answer. A backend lost or drained mid-shard is re-dispatched:
+// a restarted backend finds the label in its recovered state and
+// resumes from its own checkpoint; a replacement backend pulls the
+// partial copy as its seed store. Both write the identical byte stream,
+// so the partial only ever extends.
 //
 // Straggler stealing rides the same invariant: when the shard's
 // committed progress stalls past stealAfter with a single host, a
@@ -505,14 +485,20 @@ type shardHost struct {
 // never drops a host that is still answering.
 func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-chan struct{}, progress func(k, records int)) error {
 	local := prepPartial(path)
-	end := sub.EndWearer
-	if end == 0 {
-		end = sub.Wearers
-	}
+	first, end := sub.Range()
 	var hosts []shardHost
 	drop := func(i int) {
 		hosts = append(hosts[:i], hosts[i+1:]...)
 		m.metrics.shardRetries.Inc()
+	}
+	// cancelOthers disowns every copy but hosts[keep], best-effort — a
+	// missed DELETE only wastes backend cycles, never correctness.
+	cancelOthers := func(keep int) {
+		for i, o := range hosts {
+			if i != keep {
+				m.cancelRemote(o.base, o.id)
+			}
+		}
 	}
 	attempt := 0
 	records := 0
@@ -522,9 +508,7 @@ func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-ch
 		case <-cancel:
 			// The parent sweep was cancelled: disown every copy so no
 			// backend keeps simulating for a coordinator that left.
-			for _, h := range hosts {
-				m.cancelRemote(h.base, h.id)
-			}
+			cancelOthers(-1)
 			return errCancelled
 		default:
 		}
@@ -532,96 +516,61 @@ func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-ch
 			return errDrained
 		}
 		if len(hosts) == 0 {
-			b := m.backendFor(k, attempt)
-			attempt++
-			if b == "" || !m.healthy(b) {
-				m.metrics.shardRetries.Inc()
-				m.pause(backoffDelay(attempt), cancel)
-				continue
-			}
 			var st sweepState
-			if err := m.postJSON(b+"/api/sweeps", sub, &st); err != nil {
-				if permanent(err) {
-					return fmt.Errorf("shard %d rejected by %s: %w", k, b, err)
-				}
-				m.metrics.shardRetries.Inc()
-				m.pause(backoffDelay(attempt), cancel)
-				continue
+			b, err := m.postRetrying(k, &attempt, "/api/sweeps", sub, &st, cancel)
+			if err != nil {
+				return err
 			}
 			hosts = append(hosts, shardHost{base: b, id: st.ID})
 			m.metrics.shardsDispatched.Inc()
 			lastAdvance = time.Now()
 		}
 		if m.stealAfter > 0 && len(hosts) == 1 && time.Since(lastAdvance) > m.stealAfter {
-			if b := m.stealTarget(k, hosts); b != "" {
+			// The speculative copy goes to the first live non-hosting
+			// backend, in rotation order, that accepts the POST.
+			live, _ := m.members.live()
+			for i := range live {
+				b := live[(k+attempt+i)%len(live)]
 				var st sweepState
-				if err := m.postJSON(b+"/api/sweeps", sub, &st); err == nil {
+				if b != hosts[0].base && m.postJSON(b+"/api/sweeps", sub, &st) == nil {
 					hosts = append(hosts, shardHost{base: b, id: st.ID})
 					m.metrics.shardsDispatched.Inc()
 					m.metrics.shardsStolen.Inc()
+					break
 				}
 			}
-			// Re-arm the deadline whether or not a target existed: one
+			// Re-arm the deadline whether or not a target accepted: one
 			// speculative copy per stall, not one per poll tick.
 			lastAdvance = time.Now()
 		}
 		advanced := false
 		for i := 0; i < len(hosts); i++ {
-			h := hosts[i]
-			var st sweepState
-			inst, err := m.getJSON(h.base+"/api/sweeps/"+h.id, &st)
+			p, err := m.fetchShard(&hosts[i], path, local)
 			if err != nil {
 				drop(i)
 				i--
 				continue
 			}
-			if h.instance == "" {
-				hosts[i].instance = inst
-			} else if inst != h.instance {
-				// Same address, different process: the backend died and came
-				// back inside a poll interval. Re-dispatch by label — the
-				// recovered sweep answers the resubmission idempotently, so
-				// this costs one POST, never a duplicate simulation.
-				drop(i)
-				i--
-				continue
-			}
-			if st.Status == statusFailed {
+			if p.status == statusFailed {
 				// Deterministic execution: a failure on one host would fail
 				// identically everywhere, so give up rather than re-dispatch.
-				for _, o := range hosts {
-					if o != h {
-						m.cancelRemote(o.base, o.id)
-					}
-				}
-				return fmt.Errorf("shard %d failed on %s: %s", k, h.base, st.Error)
+				cancelOthers(i)
+				return fmt.Errorf("shard %d failed on %s: %s", k, hosts[i].base, p.errMsg)
 			}
-			n, next, err := m.fetchShard(h.base, h.id, path, local)
-			if err != nil {
-				drop(i)
-				i--
-				continue
-			}
-			if n > 0 {
-				local += n
+			if p.n > 0 {
+				local += p.n
 				advanced = true
 			}
-			if st.Records > records {
-				records = st.Records
+			if p.next-first > records {
+				records = p.next - first
 				progress(k, records)
 				advanced = true
 			}
-			switch st.Status {
+			switch p.status {
 			case statusDone:
-				if next >= end {
+				if p.next >= end {
 					// Committed-complete and fully replicated: this copy wins.
-					// Cancel the rest best-effort — a missed DELETE only wastes
-					// backend cycles, never correctness.
-					for _, o := range hosts {
-						if o != h {
-							m.cancelRemote(o.base, o.id)
-						}
-					}
+					cancelOthers(i)
 					return nil
 				}
 				// A done status whose replicated store stops short of the
@@ -643,26 +592,6 @@ func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-ch
 		}
 		m.pause(shardPollInterval, cancel)
 	}
-}
-
-// stealTarget picks a live, healthy backend not already hosting this
-// shard for the speculative copy; "" when the fleet has no spare.
-func (m *manager) stealTarget(k int, hosts []shardHost) string {
-	live, _ := m.members.live()
-	for i := range live {
-		b := live[(k+i)%len(live)]
-		taken := false
-		for _, h := range hosts {
-			if h.base == b {
-				taken = true
-				break
-			}
-		}
-		if !taken && m.healthy(b) {
-			return b
-		}
-	}
-	return ""
 }
 
 // cancelRemote disowns one sub-sweep copy, best-effort: the losing side
@@ -707,44 +636,65 @@ func prepPartial(path string) int64 {
 	return size
 }
 
-// fetchShard appends the shard store's bytes [local, committed) from the
-// hosting backend to the local partial. The stream is append-only and
-// deterministic — every backend executing the shard writes the identical
-// byte sequence — so appending from whichever backend currently hosts it
-// can never diverge, even across a backend swap mid-shard. A failed copy
-// truncates back to local so the partial never carries a torn tail into
-// the next attempt.
+// shardPoll is one answer of a backend's store feed: how many bytes it
+// appended to the local partial, and the sub-sweep's state as the
+// response headers report it.
+type shardPoll struct {
+	n      int64  // bytes appended to the local partial
+	next   int    // committed next wearer (X-Next-Wearer); -1 before the first commit
+	status string // X-Sweep-Status
+	errMsg string // X-Sweep-Error, set on a failed sub-sweep
+}
+
+// fetchShard polls one host's store feed, appending the shard store's
+// bytes [local, committed) to the local partial. The stream is
+// append-only and deterministic — every backend executing the shard
+// writes the identical byte sequence — so appending from whichever
+// backend currently hosts it can never diverge, even across a backend
+// swap mid-shard. A failed copy truncates back to local so the partial
+// never carries a torn tail into the next attempt.
 //
-// Alongside the byte count it reports the store's committed next-wearer
-// (X-Next-Wearer; -1 when the backend has no committed store yet) — the
-// supervisor's completeness witness: a "done" status only wins once the
-// replicated store provably reaches the shard's range end, so a backend
-// that pruned the store between commit and fetch cannot pass off a
-// short partial as complete.
-func (m *manager) fetchShard(base, remoteID, path string, local int64) (int64, int, error) {
-	resp, err := m.client.Get(fmt.Sprintf("%s/api/sweeps/%s/store?from=%d", base, remoteID, local))
+// The first poll pins h.instance; a later answer from a different
+// process at the same address — a SIGKILL and restart inside one poll
+// interval — is an error before any byte is appended, and the caller
+// re-dispatches by label (the recovered sweep answers the
+// resubmission idempotently, so this costs one POST, never a duplicate
+// simulation).
+//
+// The reported next wearer is the supervisor's completeness witness: a
+// "done" status only wins once the replicated store provably reaches
+// the shard's range end, so a backend that pruned the store between
+// commit and fetch cannot pass off a short partial as complete.
+func (m *manager) fetchShard(h *shardHost, path string, local int64) (shardPoll, error) {
+	resp, err := m.client.Get(fmt.Sprintf("%s/api/sweeps/%s/store?from=%d", h.base, h.id, local))
 	if err != nil {
-		return 0, -1, err
+		return shardPoll{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return 0, -1, nil // no committed store yet (sweep still queued); poll again
-	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		return 0, -1, &httpStatusError{resp.StatusCode, strings.TrimSpace(string(body))}
+		return shardPoll{}, &httpStatusError{resp.StatusCode, strings.TrimSpace(string(body))}
 	}
-	next := -1
+	if inst := resp.Header.Get("X-Iobfleetd-Instance"); h.instance == "" {
+		h.instance = inst
+	} else if inst != h.instance {
+		return shardPoll{}, fmt.Errorf("%s restarted (instance %s, was %s)", h.base, inst, h.instance)
+	}
+	p := shardPoll{
+		next:   -1,
+		status: resp.Header.Get("X-Sweep-Status"),
+		errMsg: resp.Header.Get("X-Sweep-Error"),
+	}
 	if v, err := strconv.Atoi(resp.Header.Get("X-Next-Wearer")); err == nil {
-		next = v
+		p.next = v
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
-		return 0, next, err
+		return p, err
 	}
 	if _, err := f.Seek(local, 0); err != nil {
 		f.Close()
-		return 0, next, err
+		return p, err
 	}
 	n, err := io.Copy(f, resp.Body)
 	cerr := f.Close()
@@ -753,10 +703,11 @@ func (m *manager) fetchShard(base, remoteID, path string, local int64) (int64, i
 	}
 	if err != nil {
 		os.Truncate(path, local)
-		return 0, next, err
+		return p, err
 	}
 	m.metrics.shardFetchBytes.Add(float64(n))
-	return n, next, nil
+	p.n = n
+	return p, nil
 }
 
 // fetchSeedStore pulls the coordinator's partial copy of a shard store
