@@ -282,3 +282,85 @@ func TestPermanentClassification(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelShardedStalledGather pins that a parent DELETE does not wait
+// on a loads POST in flight: with the backend's /api/loads stalled until
+// released, the parent parks cancelled within a second instead of after
+// the client timeout.
+func TestCancelShardedStalledGather(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/loads" {
+			http.NotFound(w, r)
+			return
+		}
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+		httpError(w, http.StatusServiceUnavailable, "released")
+	}))
+	t.Cleanup(stall.Close)
+	t.Cleanup(func() { close(release) }) // runs first: Close waits for the handlers
+	co, srv := startManager(t, 1, []string{stall.URL}, nil)
+	co.start(srv.URL)
+
+	st, err := co.submit(sweep.Spec{Wearers: 40, Seed: 3, DurSeconds: 4, Cells: 4, BlockSize: 8, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-arrived:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no loads POST reached the backend")
+	}
+	if code := deleteSweep(t, srv.URL, st.ID); code != http.StatusOK {
+		t.Fatalf("DELETE mid-gather: code %d, want 200", code)
+	}
+	awaitSweep(t, co, st.ID, statusCancelled, time.Second)
+}
+
+// TestCancelShardedHeldPoll pins that cancellation reaches a held store
+// poll: with both shards' polls parked on a backend whose sub-sweeps stay
+// queued, a parent DELETE parks the parent cancelled well inside one
+// storeHold, and the backend's copies are disowned.
+func TestCancelShardedHeldPoll(t *testing.T) {
+	b, bsrv := startManager(t, 1, nil, nil) // runners never start: every poll holds
+	co, srv := startManager(t, 1, []string{bsrv.URL}, nil)
+	co.start(srv.URL)
+
+	st, err := co.submit(sweep.Spec{Wearers: 40, Seed: 3, DurSeconds: 4, BlockSize: 8, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for len(b.list()) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the shards never reached the backend")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, s := range b.list() {
+		sw, _ := b.get(s.ID)
+		awaitHeld(t, sw)
+	}
+
+	start := time.Now()
+	if code := deleteSweep(t, srv.URL, st.ID); code != http.StatusOK {
+		t.Fatalf("DELETE during held polls: code %d, want 200", code)
+	}
+	awaitSweep(t, co, st.ID, statusCancelled, 10*time.Second)
+	if took := time.Since(start); took >= storeHold/2 {
+		t.Errorf("parent cancelled %v after the DELETE, want well inside the %v hold", took, storeHold)
+	}
+	for _, s := range b.list() {
+		if s.Status != statusCancelled {
+			t.Errorf("backend copy %s is %q after the parent's cancel, want cancelled", s.ID, s.Status)
+		}
+	}
+}

@@ -23,7 +23,7 @@
 //	DELETE /api/sweeps/{id}             cancel (200; 409 once terminal)
 //	GET    /api/sweeps/{id}/progress    NDJSON progress stream (curl -N)
 //	POST   /api/loads                   phase-1 gather for a shard spec
-//	GET    /api/sweeps/{id}/store       committed telemetry prefix
+//	GET    /api/sweeps/{id}/store       committed telemetry prefix (?wait: long-poll)
 //	GET    /api/sweeps/{id}/shards/{k}/store  a coordinator's shard partial
 //	POST   /api/backends                register/heartbeat a backend
 //	GET    /api/backends                the membership table
@@ -39,6 +39,11 @@
 // state in X-Sweep-Status, X-Sweep-Error (failed sweeps), X-Next-Wearer,
 // X-Committed-Offset and X-Iobfleetd-Instance headers, and answers 200
 // with an empty body and X-Next-Wearer -1 before the first commit.
+// With ?wait it is a long-poll: while the sweep is queued or running
+// and nothing is committed past from, the answer is held until the next
+// block commit or status change, the drain, the client leaving, or a
+// fixed 250 ms hold, whichever comes first. Without ?wait it answers at
+// once.
 //
 //	curl -d '{"wearers":1000,"seed":42,"dur_seconds":600,"cells":50}' \
 //	    localhost:9370/api/sweeps
@@ -103,7 +108,7 @@
 //
 //	iobfleetd_shards_dispatched_total   sub-sweeps shipped to a backend
 //	iobfleetd_shards_stolen_total       speculative copies planted past -steal-after
-//	iobfleetd_shard_retries_total       dispatch/stream attempts retried
+//	iobfleetd_shard_retries_total       POSTs refused or failed, and store polls that dropped a host
 //	iobfleetd_shard_fetch_bytes_total   committed store bytes pulled back
 //	iobfleetd_backends_configured       size of the -backends list (gauge)
 //	iobfleetd_backends_registered       membership table size incl. static (gauge)
@@ -157,10 +162,16 @@
 // dir seed-pulls the coordinator's partial replica (the shards/{k}
 // endpoint) and appends from there. Dispatch needs no readiness probe:
 // a draining backend refuses the POST with 503, as does one with a full
-// queue, and the coordinator rotates to the next backend. Each store
-// feed answer carries an X-Iobfleetd-Instance nonce, so a supervisor
-// notices a backend that was killed and restarted between two polls
-// even when the address never changed.
+// queue, and the coordinator rotates to the next backend. A supervisor
+// with one host long-polls its store feed (?wait) and re-polls at once,
+// so it learns of each commit when it lands; while a steal gives a
+// shard two hosts, it polls both without ?wait every 50 ms instead, so
+// one copy never blocks the other. Every POST and store GET a coordinator
+// sends is cancelled by the sweep's DELETE and by the drain, so neither
+// waits on a held poll or a slow backend. Each store feed answer
+// carries an X-Iobfleetd-Instance nonce, so a supervisor notices a
+// backend that was killed and restarted between two polls even when
+// the address never changed.
 // TestShardedFingerprint and TestShardedSeriesFingerprint (bytes and
 // fingerprint vs an unsharded run, both coupling modes, series on and
 // off) and TestShardedChaosKillResume (a backend SIGKILLed mid-sweep
@@ -217,15 +228,20 @@
 // sweep aborts at its next record boundary, and a coordinator sweep
 // additionally cancels every sub-sweep on every backend and removes
 // its partial shard stores — cancelled means no runner, no queue slot
-// and no partials anywhere in the fleet. The request is idempotent
+// and no partials anywhere in the fleet. The coordinator's requests in
+// flight — a held store poll, a slow loads gather or dispatch POST — are
+// aborted at once, so the park never waits on a backend; a dispatch
+// POST aborted mid-flight may leave that one copy running on its
+// backend until it ends on its own. The request is idempotent
 // (re-DELETE of a cancelled sweep is 200 without recounting); a sweep
 // already done or failed answers 409. Cancellation is durable: the
 // request is recorded in the sidecar, so a daemon killed between the
 // DELETE and the park finalizes the cancel on recovery instead of
 // resuming the sweep. The committed telemetry written before the
 // cancel stays on disk (useful as a partial trace) until retention
-// collects it. TestCancelQueued/Running/Recovery and
-// TestCancelShardedPropagates pin the path.
+// collects it. TestCancelQueued/Running/Recovery,
+// TestCancelShardedPropagates, TestCancelShardedStalledGather and
+// TestCancelShardedHeldPoll pin the path.
 //
 // # Retention
 //

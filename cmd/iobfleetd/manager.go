@@ -200,12 +200,12 @@ type manager struct {
 	metrics *daemonMetrics
 
 	// instance is this process's nonce, served as X-Iobfleetd-Instance on
-	// store-feed responses. A backend SIGKILLed and restarted inside one
-	// poll interval is otherwise invisible to its coordinator — every
-	// request before and after the blink succeeds — but the blink rolls
-	// the nonce, so supervisors detect the silent restart and re-dispatch
-	// (label-idempotent, hence safe even when the recovered sweep is
-	// already running again).
+	// store-feed responses. A backend SIGKILLed and restarted between two
+	// store polls, held or not, is otherwise invisible to its coordinator
+	// — every request before and after the blink succeeds — but the blink
+	// rolls the nonce, so supervisors detect the silent restart and
+	// re-dispatch (label-idempotent, hence safe even when the recovered
+	// sweep is already running again).
 	instance string
 
 	drain chan struct{} // closed when draining; never reopened
@@ -836,7 +836,7 @@ func (m *manager) registerMetrics(reg *obs.Registry) {
 		shardsDispatched: reg.NewCounter("iobfleetd_shards_dispatched_total",
 			"Shard sub-sweeps dispatched to backends (re-dispatches after a backend loss included).", nil),
 		shardRetries: reg.NewCounter("iobfleetd_shard_retries_total",
-			"Shard dispatch/poll/fetch attempts retried after a backend error or unhealthy probe.", nil),
+			"Shard retries: a loads or dispatch POST refused or failed, or a failed store poll that dropped a host.", nil),
 		shardFetchBytes: reg.NewCounter("iobfleetd_shard_fetch_bytes_total",
 			"Shard store bytes replicated between daemons (coordinator pulls and seed-store pulls).", nil),
 		shardsStolen: reg.NewCounter("iobfleetd_shards_stolen_total",

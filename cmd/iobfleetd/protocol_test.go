@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,16 +45,27 @@ func startManager(t *testing.T, slots int, backends []string, wrap func(*http.Se
 // getStore GETs a sweep's store feed with the raw query string q.
 func getStore(t *testing.T, base, id, q string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(base + "/api/sweeps/" + id + "/store" + q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	resp, body, err := pollStore(context.Background(), base, id, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+// pollStore is getStore under ctx, without failing the test, so a
+// goroutine can park it on a hold.
+func pollStore(ctx context.Context, base, id, q string) (*http.Response, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/sweeps/"+id+"/store"+q, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp, body, err
 }
 
 // TestStoreFeed pins GET /api/sweeps/{id}/store, the coordinator's whole
@@ -148,10 +160,10 @@ func TestStoreFeed(t *testing.T) {
 func TestSubmitQueueFullIs503(t *testing.T) {
 	m, srv := startManager(t, 1, nil, nil)
 	m.queueCap = 1 // runners never start, so one sweep fills the queue
-	if err := m.postJSON(srv.URL+"/api/sweeps", minimalSpec(1), nil); err != nil {
+	if err := m.postJSON(context.Background(), srv.URL+"/api/sweeps", minimalSpec(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	err := m.postJSON(srv.URL+"/api/sweeps", minimalSpec(2), nil)
+	err := m.postJSON(context.Background(), srv.URL+"/api/sweeps", minimalSpec(2), nil)
 	se, ok := err.(*httpStatusError)
 	if !ok || se.code != http.StatusServiceUnavailable {
 		t.Fatalf("over-cap POST: %v, want HTTP 503", err)
@@ -242,4 +254,173 @@ func TestShardProtocolRequests(t *testing.T) {
 	if done.Fingerprint != rep.Fingerprint() {
 		t.Errorf("sharded fingerprint %q != in-process %q", done.Fingerprint, rep.Fingerprint())
 	}
+}
+
+// subscribers counts a sweep's progress subscribers, held store polls
+// included.
+func subscribers(sw *job) int {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return len(sw.subs)
+}
+
+// awaitHeld waits until a ?wait store poll is parked on sw.
+func awaitHeld(t *testing.T, sw *job) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for subscribers(sw) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no store poll ever held on the sweep")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStoreFeedWait pins the store feed's long-poll: with ?wait, the
+// answer for a queued or running sweep with nothing committed past from
+// is held until the next publish, the drain, the client leaving, or
+// storeHold. Without ?wait the feed is TestStoreFeed's.
+func TestStoreFeedWait(t *testing.T) {
+	spec := sweep.Spec{Wearers: 40, Seed: 5, DurSeconds: 4, BlockSize: 8}
+	// queued starts a daemon whose runners wait for m.start, so its one
+	// sweep stays queued until the subtest says otherwise.
+	queued := func(t *testing.T) (*manager, *httptest.Server, *job) {
+		m, srv := startManager(t, 1, nil, nil)
+		st, err := m.submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, _ := m.get(st.ID)
+		return m, srv, sw
+	}
+	type answer struct {
+		resp *http.Response
+		body []byte
+		took time.Duration
+		err  error
+	}
+	poll := func(ctx context.Context, srv *httptest.Server, sw *job, q string) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			start := time.Now()
+			resp, body, err := pollStore(ctx, srv.URL, sw.snapshot().ID, q)
+			ch <- answer{resp, body, time.Since(start), err}
+		}()
+		return ch
+	}
+
+	t.Run("queued sweep returns the first commit", func(t *testing.T) {
+		m, srv, sw := queued(t)
+		first := poll(context.Background(), srv, sw, "?wait")
+		awaitHeld(t, sw)
+		m.start(srv.URL)
+		a := <-first
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if got := a.resp.Header.Get("X-Sweep-Status"); got == statusQueued || a.took >= storeHold {
+			t.Errorf("held poll answered %q after %v: the runner's start did not release it", got, a.took)
+		}
+		var resp *http.Response
+		var body []byte
+		for polls := 0; len(body) == 0; polls++ {
+			if polls == 20 {
+				t.Fatal("20 held polls and still no committed bytes")
+			}
+			resp, body = getStore(t, srv.URL, sw.snapshot().ID, "?from=0&wait")
+		}
+		if got := resp.Header.Get("X-Committed-Offset"); got != strconv.Itoa(len(body)) {
+			t.Errorf("X-Committed-Offset %q for a %d-byte body", got, len(body))
+		}
+		awaitSweep(t, m, sw.snapshot().ID, statusDone, 60*time.Second)
+		file, err := os.ReadFile(m.storePath(sw.snapshot().ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(file, body) {
+			t.Errorf("first committed answer (%d bytes) is not a prefix of the store", len(body))
+		}
+	})
+
+	t.Run("terminal sweep answers at once", func(t *testing.T) {
+		m, srv, sw := queued(t)
+		m.start(srv.URL)
+		awaitSweep(t, m, sw.snapshot().ID, statusDone, 60*time.Second)
+		_, full := getStore(t, srv.URL, sw.snapshot().ID, "")
+		a := <-poll(context.Background(), srv, sw, fmt.Sprintf("?wait&from=%d", len(full)))
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.took >= storeHold || len(a.body) != 0 || a.resp.Header.Get("X-Sweep-Status") != statusDone {
+			t.Errorf("done sweep: %d bytes, status %q after %v; want empty, done, before the %v hold",
+				len(a.body), a.resp.Header.Get("X-Sweep-Status"), a.took, storeHold)
+		}
+	})
+
+	t.Run("nothing happening returns empty after the hold", func(t *testing.T) {
+		_, srv, sw := queued(t)
+		a := <-poll(context.Background(), srv, sw, "?wait")
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.took < storeHold || len(a.body) != 0 || a.resp.Header.Get("X-Sweep-Status") != statusQueued ||
+			a.resp.Header.Get("X-Next-Wearer") != "-1" {
+			t.Errorf("idle queued sweep: %d bytes, status %q, next %q after %v; want empty, queued, -1 after the %v hold",
+				len(a.body), a.resp.Header.Get("X-Sweep-Status"), a.resp.Header.Get("X-Next-Wearer"), a.took, storeHold)
+		}
+		if n := subscribers(sw); n != 0 {
+			t.Errorf("%d subscribers left after the hold", n)
+		}
+	})
+
+	t.Run("drain releases a held poll", func(t *testing.T) {
+		m, srv, sw := queued(t)
+		held := poll(context.Background(), srv, sw, "?wait")
+		awaitHeld(t, sw)
+		m.beginDrain()
+		a := <-held
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.took >= storeHold {
+			t.Errorf("held poll answered after %v, want the drain to release it before the %v hold", a.took, storeHold)
+		}
+		// A poll arriving once the drain is under way is held like any
+		// other, so a re-polling supervisor cannot spin on the daemon.
+		if a := <-poll(context.Background(), srv, sw, "?wait"); a.err != nil || a.took < storeHold {
+			t.Errorf("poll on a draining daemon answered after %v (%v), want the %v hold", a.took, a.err, storeHold)
+		}
+	})
+
+	t.Run("client leaving drops its subscriber", func(t *testing.T) {
+		_, srv, sw := queued(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		start := time.Now()
+		held := poll(ctx, srv, sw, "?wait")
+		awaitHeld(t, sw)
+		cancel()
+		if a := <-held; a.err == nil {
+			t.Error("cancelled poll got an answer")
+		}
+		// Gone before the hold would have released it: the handler saw the
+		// client leave.
+		for subscribers(sw) != 0 {
+			if time.Since(start) >= storeHold {
+				t.Fatalf("%d subscribers outlived a client that disconnected", subscribers(sw))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+
+	t.Run("without wait nothing is held", func(t *testing.T) {
+		_, srv, sw := queued(t)
+		a := <-poll(context.Background(), srv, sw, "")
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.took >= storeHold || len(a.body) != 0 || a.resp.Header.Get("X-Sweep-Status") != statusQueued {
+			t.Errorf("plain poll on a queued sweep: %d bytes, status %q after %v; want empty and queued at once",
+				len(a.body), a.resp.Header.Get("X-Sweep-Status"), a.took)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"strconv"
+	"time"
 
 	"wiban/internal/obs"
 	"wiban/internal/sweep"
@@ -27,7 +28,8 @@ import (
 //	GET    /api/backends              the membership table with per-entry liveness
 //	DELETE /api/backends?url=...      deregister a backend
 //	POST   /api/loads                 shard protocol: gather a wearer range's offered loads
-//	GET    /api/sweeps/{id}/store     shard protocol: committed store bytes from an offset, state in headers
+//	GET    /api/sweeps/{id}/store     shard protocol: committed store bytes from an offset, state in headers;
+//	                                  ?wait holds the answer until the next commit or status change
 //	GET    /api/sweeps/{id}/shards/{k}/store  coordinator's partial shard copy (seed store)
 //	GET    /debug/pprof/...           Go profiling endpoints
 func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
@@ -196,20 +198,43 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 				return
 			}
 		}
-		// State before store: a final commit landing between the two reads
-		// then shows as running with a complete store (the next poll sees
-		// done), never as done with a store short of the range end.
-		st := sw.snapshot()
-		path := m.storePath(st.ID)
-		off, next := int64(0), -1
-		if _, o, n, err := telemetry.Committed(path); err == nil {
-			off, next = o, n
+		// ?wait makes the request a long-poll: while the sweep is queued or
+		// running and nothing is committed past from, the answer is held
+		// until the next publish (every block commit, after its checkpoint,
+		// and every status change), the drain, the client leaving, or
+		// storeHold. The subscription comes before the reads, so a commit
+		// landing between them still wakes the hold.
+		var sub chan progressEvent
+		drain := m.drain
+		if r.URL.Query().Has("wait") {
+			if m.isDraining() {
+				// Already draining: hold like any other request. Answered at
+				// once, a supervisor's re-poll would spin until the listener
+				// closes.
+				drain = nil
+			}
+			sub = sw.subscribe()
+			defer sw.unsubscribe(sub)
+			<-sub // subscribe's current-state event; the reads below supersede it
+		}
+		st, off, next := m.storeState(sw)
+		if sub != nil && from >= off && (st.Status == statusQueued || st.Status == statusRunning) {
+			hold := time.NewTimer(storeHold)
+			defer hold.Stop()
+			select {
+			case <-sub:
+			case <-drain:
+			case <-hold.C:
+			case <-r.Context().Done():
+				return
+			}
+			st, off, next = m.storeState(sw)
 		}
 		from = min(from, off) // nothing new serves an empty range, not an error
 		var f *os.File
 		if from < off {
 			var err error
-			if f, err = os.Open(path); err != nil {
+			if f, err = os.Open(m.storePath(st.ID)); err != nil {
 				httpError(w, http.StatusInternalServerError, err.Error())
 				return
 			}
@@ -263,6 +288,26 @@ func newMux(m *manager, reg *obs.Registry) *http.ServeMux {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// storeHold bounds a ?wait store poll that has nothing new to say: long
+// enough that a healthy shard's supervisor learns of each commit when it
+// lands rather than on a timer, short enough that the supervisor still
+// checks its steal deadline several times a second.
+const storeHold = 250 * time.Millisecond
+
+// storeState reads what a store-feed answer reports: the sweep's state,
+// then its store's committed offset and next wearer (0 and -1 before the
+// first commit). State before store: a final commit landing between the
+// two reads then shows as running with a complete store (the next poll
+// sees done), never as done with a store short of the range end.
+func (m *manager) storeState(sw *job) (sweepState, int64, int) {
+	st := sw.snapshot()
+	_, off, next, err := telemetry.Committed(m.storePath(st.ID))
+	if err != nil {
+		return st, 0, -1
+	}
+	return st, off, next
 }
 
 // streamProgress serves one sweep's NDJSON progress stream: the current

@@ -36,10 +36,15 @@ package main
 // The whole conversation with a backend is three requests: POST
 // (/api/loads or /api/sweeps — its own readiness probe, since a draining
 // backend refuses it with 503), GET /api/sweeps/{id}/store (replication
-// and the sub-sweep's state in one answer), and DELETE (cancel).
+// and the sub-sweep's state in one answer; with ?wait the backend holds
+// it until the next commit or status change, so a shard's supervisor
+// learns of each commit as it lands instead of on a timer), and DELETE
+// (cancel). Every POST and GET carries the sweep's context, so a DELETE
+// or a drain of the coordinator never waits on a backend's answer.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,8 +65,9 @@ import (
 	"wiban/internal/units"
 )
 
-// shardPollInterval paces the supervisor's store-feed loop against a
-// healthy backend; retries after a backend error back off separately.
+// shardPollInterval paces the supervisor's store-feed loop while a steal
+// leaves a shard with two hosts; a single host is polled with ?wait and
+// re-polled at once. Retries after a backend error back off separately.
 const shardPollInterval = 50 * time.Millisecond
 
 // loadsResponse is the shard side's answer to POST /api/loads: the
@@ -129,26 +135,34 @@ func (m *manager) backendFor(k, attempt int) string {
 	return live[(k+attempt)%len(live)]
 }
 
-// drained reports whether the daemon began draining; pause sleeps without
-// outliving a drain.
-func (m *manager) drained() bool {
+// pause sleeps for d without outliving ctx — a pending backoff timer
+// must never delay a drain or the sweep's cancellation.
+func pause(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
-	case <-m.drain:
-		return true
-	default:
-		return false
+	case <-ctx.Done():
+	case <-t.C:
 	}
 }
 
-// pause sleeps for d without outliving a drain or the sweep's
-// cancellation — a pending backoff timer must never delay either. A nil
-// cancel channel (contexts without a sweep) simply never fires.
-func (m *manager) pause(d time.Duration, cancel <-chan struct{}) {
-	select {
-	case <-m.drain:
-	case <-cancel:
-	case <-time.After(d):
-	}
+// sweepContext is the context every coordinator→backend request of a
+// sharded sweep carries, the closing DELETEs excepted: the sweep's cancel
+// latch cancels it with cause errCancelled, the drain with cause
+// errDrained, so neither waits on a held store poll or a slow POST. stop
+// releases it.
+func (m *manager) sweepContext(cancel <-chan struct{}) (ctx context.Context, stop func()) {
+	ctx, cause := context.WithCancelCause(context.Background())
+	go func() {
+		select {
+		case <-cancel:
+			cause(errCancelled)
+		case <-m.drain:
+			cause(errDrained)
+		case <-ctx.Done():
+		}
+	}()
+	return ctx, func() { cause(nil) }
 }
 
 // backoffDelay is the retry pacing after a backend error: exponential
@@ -181,12 +195,17 @@ func permanent(err error) bool {
 	return errors.As(err, &se) && se.code == http.StatusBadRequest
 }
 
-func (m *manager) postJSON(url string, in, out any) error {
+func (m *manager) postJSON(ctx context.Context, url string, in, out any) error {
 	raw, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	resp, err := m.client.Post(url, "application/json", bytes.NewReader(raw))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := m.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -210,30 +229,29 @@ func (m *manager) postJSON(url string, in, out any) error {
 // 503, which rotates like any transport error. A 400 is a deterministic
 // spec rejection and fails the shard. *attempt is the caller's rotation
 // counter; every try consumes one, so a later re-dispatch starts at the
-// backend after the last one tried.
-func (m *manager) postRetrying(k int, attempt *int, route string, in, out any, cancel <-chan struct{}) (string, error) {
+// backend after the last one tried. Once ctx ends (the sweep's cancel
+// or the drain) it returns ctx's cause, even mid-request.
+func (m *manager) postRetrying(ctx context.Context, k int, attempt *int, route string, in, out any) (string, error) {
 	for {
-		select {
-		case <-cancel:
-			return "", errCancelled
-		default:
-		}
-		if m.drained() {
-			return "", errDrained
+		if ctx.Err() != nil {
+			return "", context.Cause(ctx)
 		}
 		try := *attempt
 		*attempt++
 		if b := m.backendFor(k, try); b != "" {
-			err := m.postJSON(b+route, in, out)
+			err := m.postJSON(ctx, b+route, in, out)
 			if err == nil {
 				return b, nil
+			}
+			if ctx.Err() != nil {
+				return "", context.Cause(ctx)
 			}
 			if permanent(err) {
 				return "", fmt.Errorf("shard %d rejected by %s%s: %w", k, b, route, err)
 			}
 		}
 		m.metrics.shardRetries.Inc()
-		m.pause(backoffDelay(try), cancel)
+		pause(ctx, backoffDelay(try))
 	}
 }
 
@@ -252,7 +270,8 @@ func (m *manager) postRetrying(k int, attempt *int, route string, in, out any, c
 func (m *manager) runSharded(sw *job, spec sweep.Spec, storePath string) {
 	start := time.Now()
 	ranges := shardRanges(spec.Wearers, spec.Shards)
-	cancel := sw.cancelChan()
+	ctx, stop := m.sweepContext(sw.cancelChan())
+	defer stop()
 
 	var (
 		loads []spectrum.CellLoad
@@ -260,7 +279,7 @@ func (m *manager) runSharded(sw *job, spec sweep.Spec, storePath string) {
 	)
 	if spec.Cells > 0 {
 		var err error
-		if loads, res, err = m.gatherShards(spec, ranges, cancel); err != nil {
+		if loads, res, err = m.gatherShards(ctx, spec, ranges); err != nil {
 			switch {
 			case errors.Is(err, errCancelled):
 				m.finish(sw, statusCancelled, "")
@@ -316,7 +335,7 @@ func (m *manager) runSharded(sw *job, spec sweep.Spec, storePath string) {
 		wg.Add(1)
 		go func(k int, sub sweep.Spec) {
 			defer wg.Done()
-			errs[k] = m.superviseShard(sub, k, paths[k], cancel, progress)
+			errs[k] = m.superviseShard(ctx, sub, k, paths[k], progress)
 		}(k, sub)
 	}
 	wg.Wait()
@@ -387,7 +406,7 @@ func (m *manager) runSharded(sw *job, spec sweep.Spec, storePath string) {
 // index and runs the one deterministic equilibrium solve. The merged
 // table and solution are bit-identical to an in-process phase 1 because
 // the table sums are commutative integers and Solve is a pure function.
-func (m *manager) gatherShards(spec sweep.Spec, ranges [][2]int, cancel <-chan struct{}) ([]spectrum.CellLoad, *spectrum.Result, error) {
+func (m *manager) gatherShards(ctx context.Context, spec sweep.Spec, ranges [][2]int) ([]spectrum.CellLoad, *spectrum.Result, error) {
 	type gather struct {
 		resp loadsResponse
 		err  error
@@ -399,7 +418,7 @@ func (m *manager) gatherShards(spec sweep.Spec, ranges [][2]int, cancel <-chan s
 		go func(k int) {
 			defer wg.Done()
 			attempt := 0
-			_, results[k].err = m.postRetrying(k, &attempt, "/api/loads", shardSub(spec, ranges[k]), &results[k].resp, cancel)
+			_, results[k].err = m.postRetrying(ctx, k, &attempt, "/api/loads", shardSub(spec, ranges[k]), &results[k].resp)
 		}(k)
 	}
 	wg.Wait()
@@ -457,8 +476,9 @@ func (m *manager) gatherShards(spec sweep.Spec, ranges [][2]int, cancel <-chan s
 // Normally there is exactly one; a straggler gets a speculative second
 // copy, and the first to reach committed-complete wins. instance pins
 // the daemon process the sub-sweep was observed on, so a SIGKILL +
-// restart that fits inside one poll interval — every request before and
-// after it succeeding — is still detected as a loss.
+// restart that fits between two polls — every request before and after
+// it succeeding, a held poll's wait included — is still detected as a
+// loss.
 type shardHost struct {
 	base     string
 	id       string
@@ -467,9 +487,10 @@ type shardHost struct {
 
 // superviseShard owns one shard from dispatch to full replication. It
 // submits the sub-sweep (idempotently, by label) to a live backend,
-// then polls its store feed, which appends each newly committed byte
-// range to the local partial copy and reports the sub-sweep's state in
-// the same answer. A backend lost or drained mid-shard is re-dispatched:
+// then long-polls its store feed: each answer, held by the backend
+// until its next commit or status change, appends the newly committed
+// byte range to the local partial copy and reports the sub-sweep's
+// state. A backend lost or drained mid-shard is re-dispatched:
 // a restarted backend finds the label in its recovered state and
 // resumes from its own checkpoint; a replacement backend pulls the
 // partial copy as its seed store. Both write the identical byte stream,
@@ -483,7 +504,7 @@ type shardHost struct {
 // end wins; every other copy is cancelled. The host list is sticky —
 // membership expiry only gates NEW dispatch, so a heartbeat hiccup
 // never drops a host that is still answering.
-func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-chan struct{}, progress func(k, records int)) error {
+func (m *manager) superviseShard(ctx context.Context, sub sweep.Spec, k int, path string, progress func(k, records int)) error {
 	local := prepPartial(path)
 	first, end := sub.Range()
 	var hosts []shardHost
@@ -504,20 +525,18 @@ func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-ch
 	records := 0
 	lastAdvance := time.Now()
 	for {
-		select {
-		case <-cancel:
-			// The parent sweep was cancelled: disown every copy so no
-			// backend keeps simulating for a coordinator that left.
-			cancelOthers(-1)
-			return errCancelled
-		default:
-		}
-		if m.drained() {
-			return errDrained
+		if ctx.Err() != nil {
+			err := context.Cause(ctx)
+			if errors.Is(err, errCancelled) {
+				// The parent sweep was cancelled: disown every copy so no
+				// backend keeps simulating for a coordinator that left.
+				cancelOthers(-1)
+			}
+			return err
 		}
 		if len(hosts) == 0 {
 			var st sweepState
-			b, err := m.postRetrying(k, &attempt, "/api/sweeps", sub, &st, cancel)
+			b, err := m.postRetrying(ctx, k, &attempt, "/api/sweeps", sub, &st)
 			if err != nil {
 				return err
 			}
@@ -532,7 +551,7 @@ func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-ch
 			for i := range live {
 				b := live[(k+attempt+i)%len(live)]
 				var st sweepState
-				if b != hosts[0].base && m.postJSON(b+"/api/sweeps", sub, &st) == nil {
+				if b != hosts[0].base && m.postJSON(ctx, b+"/api/sweeps", sub, &st) == nil {
 					hosts = append(hosts, shardHost{base: b, id: st.ID})
 					m.metrics.shardsDispatched.Inc()
 					m.metrics.shardsStolen.Inc()
@@ -543,10 +562,17 @@ func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-ch
 			// speculative copy per stall, not one per poll tick.
 			lastAdvance = time.Now()
 		}
+		// A lone host is polled with ?wait and re-polled at once: its answer
+		// comes with the next commit. Two hosts (a steal) keep short polls
+		// paced by shardPollInterval, so one copy never blocks the other.
+		wait := len(hosts) == 1
 		advanced := false
 		for i := 0; i < len(hosts); i++ {
-			p, err := m.fetchShard(&hosts[i], path, local)
+			p, err := m.fetchShard(ctx, &hosts[i], path, local, wait)
 			if err != nil {
+				if ctx.Err() != nil {
+					break // cancel or drain, not a lost host: the loop top returns
+				}
 				drop(i)
 				i--
 				continue
@@ -590,7 +616,9 @@ func (m *manager) superviseShard(sub sweep.Spec, k int, path string, cancel <-ch
 		if advanced {
 			lastAdvance = time.Now()
 		}
-		m.pause(shardPollInterval, cancel)
+		if !wait || len(hosts) != 1 {
+			pause(ctx, shardPollInterval)
+		}
 	}
 }
 
@@ -654,9 +682,12 @@ type shardPoll struct {
 // swap mid-shard. A failed copy truncates back to local so the partial
 // never carries a torn tail into the next attempt.
 //
+// With wait the backend holds the answer while it has nothing new past
+// local (storeHold at most); ctx aborts the request, held or not.
+//
 // The first poll pins h.instance; a later answer from a different
-// process at the same address — a SIGKILL and restart inside one poll
-// interval — is an error before any byte is appended, and the caller
+// process at the same address — a SIGKILL and restart between two polls
+// — is an error before any byte is appended, and the caller
 // re-dispatches by label (the recovered sweep answers the
 // resubmission idempotently, so this costs one POST, never a duplicate
 // simulation).
@@ -665,8 +696,16 @@ type shardPoll struct {
 // "done" status only wins once the replicated store provably reaches
 // the shard's range end, so a backend that pruned the store between
 // commit and fetch cannot pass off a short partial as complete.
-func (m *manager) fetchShard(h *shardHost, path string, local int64) (shardPoll, error) {
-	resp, err := m.client.Get(fmt.Sprintf("%s/api/sweeps/%s/store?from=%d", h.base, h.id, local))
+func (m *manager) fetchShard(ctx context.Context, h *shardHost, path string, local int64, wait bool) (shardPoll, error) {
+	url := fmt.Sprintf("%s/api/sweeps/%s/store?from=%d", h.base, h.id, local)
+	if wait {
+		url += "&wait"
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return shardPoll{}, err
+	}
+	resp, err := m.client.Do(req)
 	if err != nil {
 		return shardPoll{}, err
 	}
