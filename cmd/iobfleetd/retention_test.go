@@ -34,6 +34,22 @@ func awaitSweep(t *testing.T, m *manager, id, status string, timeout time.Durati
 	}
 }
 
+// awaitRetired waits until m's retention GC has retired n sweeps.
+// pruneRetained drops a victim from the registry before it unlinks the
+// victim's files, and bumps iobfleetd_sweeps_retired_total only after
+// the unlinks, so the counter, not the registry, says when the files are
+// gone.
+func awaitRetired(t *testing.T, m *manager, n float64) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for m.metrics.retired.Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("retention GC retired %v sweeps, want %v", m.metrics.retired.Value(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRetainGC pins -retain's contract from both sides: beyond the
 // newest N terminal sweeps the oldest lose their sidecar, store and
 // checkpoint — but resumable state (an interrupted sweep a drain
@@ -59,9 +75,10 @@ func TestRetainGC(t *testing.T) {
 		}
 		ids = append(ids, st.ID)
 	}
-	for _, id := range ids {
+	for _, id := range ids[1:] {
 		awaitSweep(t, m, id, statusDone, 60*time.Second)
 	}
+	awaitRetired(t, m, 1)
 	if _, ok := m.get(ids[0]); ok {
 		t.Errorf("sweep %s still registered beyond -retain 2", ids[0])
 	}
@@ -136,6 +153,7 @@ func TestRetainGC(t *testing.T) {
 	}
 	// Its completion makes three terminal sweeps again; the oldest done
 	// sweep (ids[1]) rotates out.
+	awaitRetired(t, m2, 1)
 	if _, ok := m2.get(ids[1]); ok {
 		t.Errorf("sweep %s still registered after the resumed sweep pushed it past -retain", ids[1])
 	}

@@ -10,10 +10,18 @@
 // single-threaded, ties in the event heap break on a monotone sequence
 // number, and all randomness flows through the seeded RNG the simulator
 // owns.
+//
+// The event queue is a typed binary min-heap keyed on (at, seq). Every
+// event internal/bannet schedules is periodic (sensor sampling, TDMA
+// superframes and harvester ticks, all through Periodic), so a periodic
+// event is never taken out of the heap between firings: it runs at the
+// root, then re-arms in place with its next time and sequence number and
+// one sift-down. Handlers may
+// schedule, cancel and halt freely, but must not call Run, RunUntil or
+// Reset on their own simulator.
 package desim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -61,7 +69,6 @@ type event struct {
 	period  Time // > 0: self-rearming periodic event (see Periodic)
 	gen     uint32
 	stopped bool
-	index   int // heap index, -1 once popped
 }
 
 // EventID identifies a scheduled event so it can be canceled. It pins the
@@ -72,34 +79,71 @@ type EventID struct {
 	gen uint32
 }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
+// eventQueue is a binary min-heap of pending events ordered by (at, seq).
+// It is typed rather than a container/heap adapter so the comparison
+// inlines and no interface dispatch sits on the per-event path. Because
+// seq is unique, (at, seq) is a total order: the pop sequence is the same
+// under any heap layout, so every event runs at exactly the point it
+// would under any other correct priority queue.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before reports whether a runs ahead of b.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
+
+// push adds ev to the heap.
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
+
+// pop removes and returns the earliest event. The queue must be
+// non-empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	ev := h[0]
+	h[0] = h[n]
+	h[n] = nil
+	*q = h[:n]
+	if n > 0 {
+		q.fixRoot()
+	}
 	return ev
+}
+
+// fixRoot restores the heap order after the root's key grew: one
+// sift-down from index 0.
+func (q eventQueue) fixRoot() {
+	n := len(q)
+	ev := q[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = ev
 }
 
 // Simulator owns a virtual clock, an event queue and a deterministic RNG.
@@ -210,7 +254,7 @@ func (s *Simulator) At(at Time, fn Handler) EventID {
 		panic(fmt.Sprintf("desim: scheduling at %v before now %v", at, s.now))
 	}
 	ev := s.alloc(at, fn, 0)
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return EventID{ev, ev.gen}
 }
 
@@ -234,10 +278,11 @@ func (s *Simulator) Cancel(id EventID) {
 
 // Periodic schedules fn to run at now+first and then every period
 // thereafter, until the returned ID is canceled. Unlike Every it carries
-// no closure machinery: the kernel re-arms the same event storage after
-// each firing (taking the next sequence number exactly where the
-// callback-rescheduling pattern would), so a periodic source costs one
-// arena event for the whole run. Halt stops the re-arm like it stops a
+// no closure machinery: the kernel re-arms the same event storage in
+// place at the heap root after each firing (taking the next sequence
+// number exactly where the callback-rescheduling pattern would), so a
+// periodic source costs one arena event for the whole run and one
+// sift-down per firing. Halt stops the re-arm like it stops a
 // self-rescheduling callback. A periodic event never drains on its own;
 // drive the simulation with RunUntil or Cancel it before Run.
 func (s *Simulator) Periodic(first, period Time, fn Handler) EventID {
@@ -248,7 +293,7 @@ func (s *Simulator) Periodic(first, period Time, fn Handler) EventID {
 		panic(fmt.Sprintf("desim: negative delay %v", first))
 	}
 	ev := s.alloc(s.now+first, fn, period)
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return EventID{ev, ev.gen}
 }
 
@@ -265,15 +310,20 @@ func (s *Simulator) Every(first, period Time, fn Handler) (stop func()) {
 func (s *Simulator) Halt() { s.halted = true }
 
 // step executes the earliest pending event. It reports false if the queue
-// is empty. One-shot events are recycled after running; periodic events
-// re-arm in place, taking the next sequence number at exactly the point a
+// is empty. The event runs while it stays at the heap root: anything its
+// handler schedules has at ≥ now and a larger seq, so it cannot displace
+// the root, and Cancel only marks events. Afterwards a one-shot event, or
+// a periodic one that was canceled or halted, is popped and recycled. A
+// live periodic event re-arms in place: its time advances by one period
+// and it takes the next sequence number at exactly the point a
 // self-rescheduling callback would have (after its handler returned), so
-// the event order is bit-identical to the closure formulation.
+// the event order is bit-identical to the closure formulation, at the
+// cost of one sift-down from the root instead of a pop and a push.
 func (s *Simulator) step() bool {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*event)
+	for len(s.queue) > 0 {
+		ev := s.queue[0]
 		if ev.stopped {
-			s.recycle(ev)
+			s.recycle(s.queue.pop())
 			continue
 		}
 		s.now = ev.at
@@ -283,9 +333,9 @@ func (s *Simulator) step() bool {
 			ev.at += ev.period
 			ev.seq = s.seq
 			s.seq++
-			heap.Push(&s.queue, ev)
+			s.queue.fixRoot()
 		} else {
-			s.recycle(ev)
+			s.recycle(s.queue.pop())
 		}
 		return true
 	}
@@ -306,14 +356,12 @@ func (s *Simulator) Run() Time {
 // queued.
 func (s *Simulator) RunUntil(end Time) Time {
 	s.halted = false
-	for !s.halted {
-		if s.queue.Len() == 0 {
-			break
-		}
-		// Peek at the head without popping.
+	for !s.halted && len(s.queue) > 0 {
+		// Reap canceled events at the head before peeking at its time,
+		// so step never runs past end.
 		next := s.queue[0]
 		if next.stopped {
-			s.recycle(heap.Pop(&s.queue).(*event))
+			s.recycle(s.queue.pop())
 			continue
 		}
 		if next.at > end {
@@ -329,4 +377,4 @@ func (s *Simulator) RunUntil(end Time) Time {
 
 // Pending reports how many events are queued (including canceled events not
 // yet reaped).
-func (s *Simulator) Pending() int { return s.queue.Len() }
+func (s *Simulator) Pending() int { return len(s.queue) }

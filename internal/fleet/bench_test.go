@@ -8,9 +8,33 @@ package fleet
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"wiban/internal/units"
 )
+
+// runBench runs f b.N times and reports allocations plus the headline
+// metrics over every iteration, not just the last: runs/s is wearers ×
+// b.N and events/s the summed kernel events, each over b.Elapsed(), and
+// phase1-ms is the mean phase-1 time per sweep.
+func runBench(b *testing.B, f *Fleet) {
+	b.Helper()
+	b.ReportAllocs()
+	var events uint64
+	var phase1 time.Duration
+	for i := 0; i < b.N; i++ {
+		rep, perf, err := f.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += rep.Events
+		phase1 += perf.Phase1
+	}
+	elapsed := b.Elapsed().Seconds()
+	b.ReportMetric(float64(f.Wearers*b.N)/elapsed, "runs/s")
+	b.ReportMetric(float64(events)/elapsed, "events/s")
+	b.ReportMetric(phase1.Seconds()*1e3/float64(b.N), "phase1-ms")
+}
 
 // benchFleet sweeps 200 wearers × 60 simulated seconds. Every fleet
 // benchmark reports allocs (the zero-allocation kernel contract is a
@@ -21,18 +45,7 @@ func benchFleet(b *testing.B, workers int, fresh bool) {
 	f := testFleet(200, workers, 42)
 	f.Span = 60 * units.Second
 	f.freshKernels = fresh
-	b.ReportAllocs()
-	var last Perf
-	for i := 0; i < b.N; i++ {
-		_, perf, err := f.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = perf
-	}
-	b.ReportMetric(last.RunsPerSec, "runs/s")
-	b.ReportMetric(last.EventsPerSec, "events/s")
-	b.ReportMetric(last.Phase1.Seconds()*1e3, "phase1-ms")
+	runBench(b, f)
 }
 
 func BenchmarkFleetWorkers1(b *testing.B) { benchFleet(b, 1, false) }
@@ -62,18 +75,7 @@ func BenchmarkFleetInstrumented(b *testing.B) {
 	f := testFleet(200, 4, 42)
 	f.Span = 60 * units.Second
 	f.Stats = &Stats{}
-	b.ReportAllocs()
-	var last Perf
-	for i := 0; i < b.N; i++ {
-		_, perf, err := f.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = perf
-	}
-	b.ReportMetric(last.RunsPerSec, "runs/s")
-	b.ReportMetric(last.EventsPerSec, "events/s")
-	b.ReportMetric(last.Phase1.Seconds()*1e3, "phase1-ms")
+	runBench(b, f)
 }
 
 // TestFleetParallelSpeedup asserts the acceptance criterion on machines
@@ -125,18 +127,7 @@ func benchCoupledFleet(b *testing.B, workers, cells int, feedback bool) {
 	f.Loads = testGenerator().LoadScenario()
 	f.Span = 60 * units.Second
 	f.Coupling = &Coupling{Cells: cells, Feedback: feedback}
-	b.ReportAllocs()
-	var last Perf
-	for i := 0; i < b.N; i++ {
-		_, perf, err := f.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = perf
-	}
-	b.ReportMetric(last.RunsPerSec, "runs/s")
-	b.ReportMetric(last.EventsPerSec, "events/s")
-	b.ReportMetric(last.Phase1.Seconds()*1e3, "phase1-ms")
+	runBench(b, f)
 }
 
 // BenchmarkFleetCoupledSparse is the engine-overhead benchmark (density
